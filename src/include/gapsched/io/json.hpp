@@ -1,49 +1,22 @@
 #pragma once
-// JSON request/response codec for the solver engine: the one wire
-// representation shared by `solver_cli --json`, the benches, and any
-// server front end, so every consumer reads and writes the same documents.
+// JSON codec for the solver engine: the one wire representation shared by
+// `solver_cli --json`, the server frames, the disk store payloads, and the
+// benches, so every consumer reads and writes the same documents.
 //
-// Request document:
-//   {
-//     "gapsched": "request",
-//     "solver": "power_dp",
-//     "objective": "power",
-//     "params": { "alpha": 2.5, "max_spans": 1, "powerdown_threshold": -1,
-//                 "swap_size": 2, "block_size": 2, "time_limit_s": 0,
-//                 "validate": false, "decompose": true, "compress": true },
-//     "instance": { "processors": 1,
-//                   "jobs": [ [[0, 5]], [[2, 3], [8, 9]] ] }
-//   }
-// (each job is its list of inclusive [lo, hi] allowed intervals; omitted
-// params keep their defaults).
+// Each wire struct is declared once, as a field table in json.cpp; the
+// tables are the schema. Every document is one compact object, e.g.
+//   {"gapsched":"request","solver":"power_dp","objective":"power",
+//    "params":{"alpha":2.5,"max_spans":1,...,"compress":true},
+//    "instance":{"processors":1,"jobs":[[[0,5]],[[2,3],[8,9]]]}}
+// (a job is its list of inclusive [lo, hi] intervals; a result's schedule
+// lists only scheduled jobs, processor -1 meaning profile form).
 //
-// Response document:
-//   {
-//     "gapsched": "result",
-//     "ok": true, "error": "", "feasible": true, "cost": 2,
-//     "transitions": 2, "timed_out": false,
-//     "audited": false, "audit_error": "",
-//     "stats": { "wall_ms": ..., "states": ..., "nodes": ...,
-//                "scheduled": ..., "components": ..., "cache_hit": false,
-//                "component_cache_hits": 0, "components_deduped": 0,
-//                "dead_time_removed": 0,
-//                "memo_arena_solves": 0, "memo_hash_solves": 0,
-//                "memo_parallel_solves": 0, "memo_find_calls": 0,
-//                "memo_probe_steps": 0, "memo_pruned": 0,
-//                "stages": { "canonicalize": { "ran": false, "ms": 0 },
-//                            ... one entry per pipeline stage, in order:
-//                            canonicalize, decompose, compress,
-//                            cache_lookup, dispatch, recombine, audit } },
-//     "schedule": { "jobs": 5,
-//                   "slots": [ { "job": 0, "time": 10, "processor": -1 } ] }
-//   }
-// (slots list only scheduled jobs; processor -1 means profile form; the
-// stats object always reports all seven stages with their ran/skip verdict
-// and per-request wall time — see engine::PipelineStage).
-//
-// The readers accept any standard JSON document with these fields (extra
-// fields are ignored) and return nullopt with *error set on malformed
-// input. Non-finite doubles degrade to null on write, matching
+// The readers accept any standard JSON text, including the indented form
+// earlier builds wrote, with one set of rules: a missing field keeps its
+// default, a value of the wrong type is an error naming the field, an
+// unsigned field rejects negatives, every integer must fit its field, and
+// unknown fields are ignored. Failures return nullopt with *error set.
+// Non-finite doubles degrade to null on write, matching
 // bench/json_report.hpp.
 
 #include <cstdint>
@@ -84,21 +57,16 @@ std::optional<engine::SolveResult> result_from_json(
 // ----------------------------------------------------- stats documents --
 // One codec for every tally the engine exposes: the server's `stats`
 // frame, `solver_cli --cache-stats`, and the benches all read and write
-// these documents instead of ad-hoc printing. Readers are tolerant to
-// missing fields (they keep their defaults, like the result codec's
-// `stages` object) but reject wrong types and unknown stage names.
+// these documents instead of ad-hoc printing. Per-stage maps may list any
+// subset of stages, but an unknown stage name is an error.
 
-/// Serializes SolveCache tallies:
-///   {"gapsched": "cache_stats", "hits": 0, "misses": 0, "insertions": 0,
-///    "evictions": 0, "entries": 0, "capacity": 0}
+/// Serializes SolveCache tallies ({"gapsched":"cache_stats","hits":0,...}).
 std::string cache_stats_to_json(const engine::CacheStats& stats);
 std::optional<engine::CacheStats> cache_stats_from_json(
     std::string_view text, std::string* error = nullptr);
 
-/// Serializes a Session's per-stage pipeline roll-up:
-///   {"gapsched": "pipeline_stats", "requests": 0,
-///    "stages": {"canonicalize": {"runs": 0, "skips": 0, "total_ms": 0},
-///               ... one entry per PipelineStage ...}}
+/// Serializes a Session's per-stage pipeline roll-up ({"gapsched":
+/// "pipeline_stats","requests":0,"stages":{"canonicalize":{"runs":0,...}}}).
 std::string pipeline_stats_to_json(
     const engine::pipeline::PipelineStats& stats);
 std::optional<engine::pipeline::PipelineStats> pipeline_stats_from_json(
@@ -128,13 +96,13 @@ std::string server_stats_to_json(const ServerStatsWire& stats);
 std::optional<ServerStatsWire> server_stats_from_json(
     std::string_view text, std::string* error = nullptr);
 
-// ------------------------------------------------------- frame headers --
+// ---------------------------------------------------------------- frames --
 // serve/protocol.hpp frames are ordinary documents of this codec with a
-// routing header spliced in ("frame", "id", "deadline_ms", "message").
-// The header is parsed here so the server and every client agree on one
-// reader; the frame body (request/result/stats fields at the same top
-// level) goes through the matching *_from_json above, which ignores the
-// header fields like any other extras.
+// routing header ("frame", "id", "deadline_ms", "message") written first,
+// at the same top level as the body. The header is parsed here so the
+// server and every client agree on one reader; the body goes through the
+// matching *_from_json above, which ignores the header fields like any
+// other extras.
 
 struct FrameHead {
   /// Frame type: "hello", "request", "result", "stats", "drain", "error".
@@ -146,6 +114,25 @@ struct FrameHead {
   /// Human-readable diagnostic of an "error" frame.
   std::string message;
 };
+
+/// The body of the server's greeting frame.
+struct HelloWire {
+  std::string server;
+  std::int64_t protocol = 0;
+  std::uint64_t shards = 0;
+  std::uint64_t solvers = 0;
+};
+
+/// One frame line: the header's fields that differ from a default
+/// FrameHead, then the body document's fields (none for a bare header).
+std::string frame_to_json(const FrameHead& head);
+std::string frame_to_json(const FrameHead& head, const HelloWire& hello);
+std::string frame_to_json(const FrameHead& head, std::string_view solver,
+                          const engine::SolveRequest& request);
+std::string frame_to_json(const FrameHead& head,
+                          const engine::SolveResult& result);
+std::string frame_to_json(const FrameHead& head,
+                          const ServerStatsWire& stats);
 
 /// Parses the routing header of one frame. Fails on documents without a
 /// string "frame" field, negative deadlines, or non-integer ids.

@@ -2,18 +2,20 @@
 // gapsched::serve protocol layer — newline-delimited JSON frames over TCP.
 //
 // Every frame is one io/json.hpp document on a single line, terminated by
-// '\n', with a routing header spliced into the top-level object:
+// '\n', with its routing header written first (io::frame_to_json; header
+// fields still at their defaults — id -1, no deadline, no message — are
+// omitted and read back as those defaults):
 //
 //   client -> server
 //     {"frame":"request","id":7,"deadline_ms":2000, <request document>}
 //     {"frame":"stats"}                 ask for the server's tallies
 //     {"frame":"drain"}                 begin graceful server drain
 //   server -> client
-//     {"frame":"hello","id":-1, "server":..,"protocol":1,"shards":N,...}
+//     {"frame":"hello","server":..,"protocol":1,"shards":N,"solvers":M}
 //     {"frame":"result","id":7, <result document>}     completion order!
-//     {"frame":"stats","id":-1, <server stats document>}
-//     {"frame":"drain","id":-1}         drain acknowledged
-//     {"frame":"error","id":7,"message":"..."}         id -1 = no request
+//     {"frame":"stats", <server stats document>}
+//     {"frame":"drain"}                 drain acknowledged
+//     {"frame":"error","id":7,"message":"..."}         no id = no request
 //
 // The body fields live at the same top level as the header, so the
 // io/json.hpp readers — which ignore unknown fields — parse a frame

@@ -49,22 +49,9 @@ std::uint64_t shard_key(std::string_view solver_name);
 /// Maps a key onto one of `shards` workers (shards >= 1).
 std::size_t shard_of(std::uint64_t key, std::size_t shards);
 
-/// Per-shard roll-up, aggregated into the server's `stats` frame.
-struct ShardTally {
-  std::uint64_t requests = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t refuted = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t component_cache_hits = 0;
-  engine::pipeline::PipelineStats pipeline;
-
-  /// Folds one finished response into the tallies.
-  void absorb(const engine::SolveResult& result);
-
-  /// The wire form of this tally for shard index `shard`.
-  io::ShardStatsWire wire(std::size_t shard) const;
-};
+/// Folds one finished response into a shard's roll-up (the server keeps
+/// one io::ShardStatsWire per shard and reports it in its `stats` frame).
+void absorb(io::ShardStatsWire& tally, const engine::SolveResult& result);
 
 /// A bounded multi-producer single-consumer queue. push() blocks while the
 /// queue is at capacity — that block is the backpressure seam — and

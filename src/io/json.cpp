@@ -1,12 +1,17 @@
 #include "gapsched/io/json.hpp"
 
+#include <array>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,24 +43,17 @@ void append_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
-void append_double(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";  // JSON has no NaN/inf
-    return;
-  }
-  // Shortest decimal form that round-trips.
-  for (int prec = 1; prec <= 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof probe, "%.*g", prec, value);
-    if (std::strtod(probe, nullptr) == value) {
-      out += probe;
+/// Integers verbatim; doubles in the shortest decimal form that round-trips.
+template <class N>
+void append_number(std::string& out, N value) {
+  if constexpr (std::is_floating_point_v<N>) {
+    if (!std::isfinite(value)) {
+      out += "null";  // JSON has no NaN/inf
       return;
     }
   }
-}
-
-void append_bool(std::string& out, bool value) {
-  out += value ? "true" : "false";
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 // --------------------------------------------------------------- parsing --
@@ -310,652 +308,683 @@ class Parser {
   std::string error_;
 };
 
-// ----------------------------------------------- typed field extraction --
+// ------------------------------------------------------------ field tables --
+// Every wire struct is declared once, as a table of (key, member pointer,
+// kind) entries. One walker writes any table as a compact object and one
+// walker reads it back, so every document follows the reader rules stated
+// in json.hpp.
 
-bool get_bool(const JsonValue& obj, std::string_view key, bool* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) return v == nullptr;
-  *out = v->boolean;
-  return true;
-}
+/// Why a read failed: the dotted path of the offending field and what was
+/// wrong with it.
+struct ReadError {
+  std::string path;
+  std::string what;
 
-bool get_double(const JsonValue& obj, std::string_view key, double* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (v->kind != JsonValue::Kind::kNumber) return false;
-  *out = v->number;
-  return true;
-}
-
-bool get_int(const JsonValue& obj, std::string_view key, std::int64_t* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (v->kind != JsonValue::Kind::kNumber || !v->is_integer) return false;
-  *out = v->integer;
-  return true;
-}
-
-bool get_string(const JsonValue& obj, std::string_view key, std::string* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (v->kind != JsonValue::Kind::kString) return false;
-  *out = v->string;
-  return true;
-}
-
-/// True when `v` narrows to int without truncation — out-of-range wire
-/// input must be a parse error, never a plausible-looking wrong value.
-bool fits_int(std::int64_t v) {
-  return v >= std::numeric_limits<int>::min() &&
-         v <= std::numeric_limits<int>::max();
-}
-
-bool parse_params(const JsonValue& obj, engine::SolveParams* params,
-                  std::string* why) {
-  const JsonValue* p = obj.find("params");
-  if (p == nullptr) return true;  // all defaults
-  if (p->kind != JsonValue::Kind::kObject) {
-    *why = "'params' must be an object";
+  bool fail(std::string why) {
+    what = std::move(why);
     return false;
   }
-  std::int64_t max_spans = static_cast<std::int64_t>(params->max_spans);
-  std::int64_t swap_size = params->swap_size;
-  std::int64_t block_size = params->block_size;
-  const bool ok = get_double(*p, "alpha", &params->alpha) &&
-                  get_int(*p, "max_spans", &max_spans) &&
-                  get_double(*p, "powerdown_threshold",
-                             &params->powerdown_threshold) &&
-                  get_int(*p, "swap_size", &swap_size) &&
-                  get_int(*p, "block_size", &block_size) &&
-                  get_double(*p, "time_limit_s", &params->time_limit_s) &&
-                  get_bool(*p, "validate", &params->validate) &&
-                  get_bool(*p, "decompose", &params->decompose) &&
-                  get_bool(*p, "compress", &params->compress);
-  if (!ok || max_spans < 0 || !fits_int(swap_size) || !fits_int(block_size)) {
-    *why = "malformed 'params' field";
+  /// Prefixes an enclosing key while a failure unwinds.
+  bool within(std::string_view key) {
+    path = path.empty() || path.front() == '['
+               ? std::string(key) + path
+               : std::string(key) + "." + path;
     return false;
   }
-  params->max_spans = static_cast<std::size_t>(max_spans);
-  params->swap_size = static_cast<int>(swap_size);
-  params->block_size = static_cast<int>(block_size);
-  return true;
+  bool within(std::size_t index) {
+    return within("[" + std::to_string(index) + "]");
+  }
+  std::string text() const { return "malformed '" + path + "': " + what; }
+};
+
+/// The kind an entry gets when it names no converter: the one its member
+/// type implies (see write_value and read_value).
+struct Auto {};
+
+/// One table entry: the JSON key, the member it maps, and its kind.
+template <class Kind, class C, class M>
+struct Field {
+  std::string_view name;
+  M C::*member;
+};
+
+template <class Kind = Auto, class C, class M>
+constexpr Field<Kind, C, M> field(std::string_view name, M C::*member) {
+  return {name, member};
 }
 
-bool parse_instance(const JsonValue& obj, Instance* inst, std::string* why) {
-  const JsonValue* in = obj.find("instance");
-  if (in == nullptr || in->kind != JsonValue::Kind::kObject) {
-    *why = "missing 'instance' object";
-    return false;
+/// The field table of wire struct T: a tuple of Field entries, in the
+/// order they are written.
+template <class T>
+inline constexpr int kTable = 0;  // every wire struct specializes this
+
+template <class Kind = Auto, class M>
+void write_value(std::string& out, const M& value);
+template <class Kind = Auto, class M>
+bool read_value(const JsonValue& json, M* value, ReadError& err);
+template <bool kOmitDefaults = false, class T>
+void write_fields(std::string& out, const T& object, bool* first);
+template <class T>
+bool read_fields(const JsonValue& json, T* object, ReadError& err);
+
+void write_key(std::string& out, std::string_view key, bool* first) {
+  if (!*first) out += ',';
+  *first = false;
+  out += '"';
+  out += key;  // table keys are plain identifiers
+  out += "\":";
+}
+
+/// Reads member `key` of `object` into *value; a missing key keeps it.
+template <class Kind = Auto, class M>
+bool read_key(const JsonValue& object, std::string_view key, M* value,
+              ReadError& err) {
+  const JsonValue* json = object.find(key);
+  if (json == nullptr || read_value<Kind>(*json, value, err)) return true;
+  return err.within(key);
+}
+
+// ------------------------------------------------------------- converters --
+// The few members whose wire shape is not a plain kind: each converter has
+// write(out, value) and read(json, &value, err).
+
+/// engine::Objective by name; an empty name keeps the default.
+struct ObjectiveName {
+  static void write(std::string& out, engine::Objective objective) {
+    append_escaped(out, engine::to_string(objective));
   }
-  std::int64_t processors = 1;
-  if (!get_int(*in, "processors", &processors) || !fits_int(processors)) {
-    *why = "malformed 'processors'";
-    return false;
-  }
-  inst->processors = static_cast<int>(processors);
-  const JsonValue* jobs = in->find("jobs");
-  if (jobs == nullptr || jobs->kind != JsonValue::Kind::kArray) {
-    *why = "missing 'jobs' array";
-    return false;
-  }
-  inst->jobs.clear();
-  inst->jobs.reserve(jobs->elements.size());
-  for (const JsonValue& job : jobs->elements) {
-    if (job.kind != JsonValue::Kind::kArray) {
-      *why = "each job must be an array of [lo, hi] intervals";
-      return false;
+  static bool read(const JsonValue& json, engine::Objective* objective,
+                   ReadError& err) {
+    std::string name;
+    if (!read_value(json, &name, err)) return false;
+    if (name.empty()) return true;
+    const auto parsed = engine::objective_from_string(name);
+    if (!parsed.has_value()) {
+      return err.fail("unknown objective '" + name + "'");
     }
-    std::vector<Interval> intervals;
-    intervals.reserve(job.elements.size());
-    for (const JsonValue& iv : job.elements) {
-      if (iv.kind != JsonValue::Kind::kArray || iv.elements.size() != 2 ||
-          !iv.elements[0].is_integer || !iv.elements[1].is_integer) {
-        *why = "each interval must be an integer pair [lo, hi]";
-        return false;
+    *objective = *parsed;
+    return true;
+  }
+};
+
+/// A signed member that must not be negative.
+struct NonNegative {
+  static void write(std::string& out, std::int64_t value) {
+    append_number(out, value);
+  }
+  static bool read(const JsonValue& json, std::int64_t* value,
+                   ReadError& err) {
+    std::int64_t v = 0;
+    if (!read_value(json, &v, err)) return false;
+    if (v < 0) return err.fail("expected a non-negative integer");
+    *value = v;
+    return true;
+  }
+};
+
+/// Instance jobs, each as its list of inclusive [lo, hi] intervals.
+struct Jobs {
+  static void write(std::string& out, const std::vector<Job>& jobs) {
+    out += '[';
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      out += j > 0 ? ",[" : "[";
+      const std::vector<Interval>& intervals = jobs[j].allowed.intervals();
+      for (std::size_t k = 0; k < intervals.size(); ++k) {
+        out += k > 0 ? ",[" : "[";
+        append_number(out, intervals[k].lo);
+        out += ',';
+        append_number(out, intervals[k].hi);
+        out += ']';
       }
-      intervals.push_back(Interval{iv.elements[0].integer,
-                                   iv.elements[1].integer});
+      out += ']';
     }
-    inst->jobs.push_back(Job{TimeSet(std::move(intervals))});
+    out += ']';
+  }
+  static bool read(const JsonValue& json, std::vector<Job>* jobs,
+                   ReadError& err) {
+    if (json.kind != JsonValue::Kind::kArray) {
+      return err.fail("expected an array of jobs");
+    }
+    jobs->clear();
+    jobs->reserve(json.elements.size());
+    for (const JsonValue& job : json.elements) {
+      if (job.kind != JsonValue::Kind::kArray) {
+        return err.fail("each job must be an array of [lo, hi] intervals");
+      }
+      std::vector<Interval> intervals;
+      intervals.reserve(job.elements.size());
+      for (const JsonValue& iv : job.elements) {
+        if (iv.kind != JsonValue::Kind::kArray || iv.elements.size() != 2 ||
+            !iv.elements[0].is_integer || !iv.elements[1].is_integer) {
+          return err.fail("each interval must be an integer pair [lo, hi]");
+        }
+        intervals.push_back(
+            Interval{iv.elements[0].integer, iv.elements[1].integer});
+      }
+      jobs->push_back(Job{TimeSet(std::move(intervals))});
+    }
+    return true;
+  }
+};
+
+/// A schedule on the wire: its job count and one slot per scheduled job
+/// (processor -1 means profile form).
+struct SlotWire {
+  std::uint64_t job = std::numeric_limits<std::uint64_t>::max();
+  Time time = 0;
+  int processor = Placement::kUnassigned;
+};
+
+struct ScheduleWire {
+  std::uint64_t jobs = 0;
+  std::vector<SlotWire> slots;
+};
+
+/// The largest job count a schedule may claim. The count sizes the decoded
+/// schedule before any slot is read, so an untrusted count must be bounded
+/// to keep a few bytes of input from demanding a huge allocation.
+constexpr std::uint64_t kMaxScheduleJobs = std::uint64_t{1} << 24;
+
+/// Schedule <-> ScheduleWire; every slot must name a job below the count.
+struct Slots {
+  static void write(std::string& out, const Schedule& schedule) {
+    ScheduleWire wire{schedule.size(), {}};
+    for (std::size_t j = 0; j < schedule.size(); ++j) {
+      if (const std::optional<Placement>& slot = schedule.at(j)) {
+        wire.slots.push_back(SlotWire{j, slot->time, slot->processor});
+      }
+    }
+    write_value(out, wire);
+  }
+  static bool read(const JsonValue& json, Schedule* schedule,
+                   ReadError& err) {
+    ScheduleWire wire;
+    if (!read_value(json, &wire, err)) return false;
+    if (wire.jobs > kMaxScheduleJobs) {
+      err.fail("more than " + std::to_string(kMaxScheduleJobs) + " jobs");
+      return err.within("jobs");
+    }
+    Schedule decoded(static_cast<std::size_t>(wire.jobs));
+    for (std::size_t i = 0; i < wire.slots.size(); ++i) {
+      const SlotWire& slot = wire.slots[i];
+      if (slot.job >= wire.jobs) {
+        err.fail("job index missing or out of range");
+        err.within("job");
+        err.within(i);
+        return err.within("slots");
+      }
+      decoded.place(static_cast<std::size_t>(slot.job), slot.time,
+                    slot.processor);
+    }
+    *schedule = std::move(decoded);
+    return true;
+  }
+};
+
+// ------------------------------------------------------------------ kinds --
+// Without a converter, an entry's kind follows from its member type: bool,
+// double, signed or unsigned integer, string, a vector (array), the
+// per-stage map, or a struct with its own table (nested object).
+
+template <class M>
+inline constexpr bool kIsList = false;
+template <class E>
+inline constexpr bool kIsList<std::vector<E>> = true;
+
+template <class M>
+inline constexpr bool kIsStageMap = false;
+template <class E>
+inline constexpr bool kIsStageMap<std::array<E, engine::kPipelineStageCount>> =
+    true;
+
+template <class Kind, class M>
+void write_value(std::string& out, const M& value) {
+  if constexpr (!std::is_same_v<Kind, Auto>) {
+    Kind::write(out, value);
+  } else if constexpr (std::is_same_v<M, bool>) {
+    out += value ? "true" : "false";
+  } else if constexpr (std::is_arithmetic_v<M>) {
+    append_number(out, value);
+  } else if constexpr (std::is_convertible_v<const M&, std::string_view>) {
+    append_escaped(out, value);
+  } else if constexpr (kIsList<M>) {
+    out += '[';
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) out += ',';
+      write_value(out, value[i]);
+    }
+    out += ']';
+  } else if constexpr (kIsStageMap<M>) {
+    // Every PipelineStage, in order, keyed by its name.
+    out += '{';
+    bool first = true;
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      write_key(out, engine::to_string(static_cast<engine::PipelineStage>(i)),
+                &first);
+      write_value(out, value[i]);
+    }
+    out += '}';
+  } else {
+    out += '{';
+    bool first = true;
+    write_fields(out, value, &first);
+    out += '}';
+  }
+}
+
+template <class Kind, class M>
+bool read_value(const JsonValue& json, M* value, ReadError& err) {
+  using K = JsonValue::Kind;
+  if constexpr (!std::is_same_v<Kind, Auto>) {
+    return Kind::read(json, value, err);
+  } else if constexpr (std::is_same_v<M, bool>) {
+    if (json.kind != K::kBool) return err.fail("expected a bool");
+    *value = json.boolean;
+  } else if constexpr (std::is_floating_point_v<M>) {
+    if (json.kind != K::kNumber) return err.fail("expected a number");
+    *value = json.number;
+  } else if constexpr (std::is_integral_v<M>) {
+    // Out-of-range wire input is an error, never a plausible wrong value.
+    if (json.kind != K::kNumber || !json.is_integer) {
+      return err.fail("expected an integer");
+    }
+    if (std::is_unsigned_v<M> && json.integer < 0) {
+      return err.fail("expected a non-negative integer");
+    }
+    if (!std::in_range<M>(json.integer)) {
+      return err.fail("integer out of range");
+    }
+    *value = static_cast<M>(json.integer);
+  } else if constexpr (std::is_same_v<M, std::string>) {
+    if (json.kind != K::kString) return err.fail("expected a string");
+    *value = json.string;
+  } else if constexpr (kIsList<M>) {
+    if (json.kind != K::kArray) return err.fail("expected an array");
+    value->assign(json.elements.size(), {});
+    for (std::size_t i = 0; i < json.elements.size(); ++i) {
+      if (!read_value(json.elements[i], &(*value)[i], err)) {
+        return err.within(i);
+      }
+    }
+  } else if constexpr (kIsStageMap<M>) {
+    // Any subset of stages; an unknown name is a version skew the tallies
+    // cannot absorb silently.
+    if (json.kind != K::kObject) return err.fail("expected an object");
+    for (const auto& [name, entry] : json.members) {
+      const auto stage = engine::pipeline_stage_from_string(name);
+      if (!stage.has_value()) {
+        return err.fail("unknown pipeline stage '" + name + "'");
+      }
+      if (!read_value(entry, &(*value)[static_cast<std::size_t>(*stage)],
+                      err)) {
+        return err.within(name);
+      }
+    }
+  } else {
+    if (json.kind != K::kObject) return err.fail("expected an object");
+    return read_fields(json, value, err);
   }
   return true;
 }
 
-// ------------------------------------------------- stats sub-documents --
-// Bare (untagged) writers/readers shared by the standalone documents and
-// the nested copies inside a server_stats document.
+// ---------------------------------------------------------------- walkers --
 
-void append_cache_stats(std::string& out, const engine::CacheStats& s) {
-  out += "{ \"hits\": " + std::to_string(s.hits);
-  out += ", \"misses\": " + std::to_string(s.misses);
-  out += ", \"insertions\": " + std::to_string(s.insertions);
-  out += ", \"evictions\": " + std::to_string(s.evictions);
-  out += ", \"entries\": " + std::to_string(s.entries);
-  out += ", \"capacity\": " + std::to_string(s.capacity);
-  out += ", \"disk_hits\": " + std::to_string(s.disk_hits);
-  out += ", \"disk_rejects\": " + std::to_string(s.disk_rejects);
-  out += ", \"spilled\": " + std::to_string(s.spilled);
-  out += ", \"disk_entries\": " + std::to_string(s.disk_entries);
-  out += " }";
+template <bool kOmitDefaults, class Kind, class C, class M>
+void write_field(std::string& out, const C& object,
+                 const Field<Kind, C, M>& f, bool* first) {
+  if constexpr (kOmitDefaults) {
+    static const C kDefaults{};
+    if (object.*f.member == kDefaults.*f.member) return;
+  }
+  write_key(out, f.name, first);
+  write_value<Kind>(out, object.*f.member);
 }
 
-bool read_cache_stats(const JsonValue& obj, engine::CacheStats* out,
-                      std::string* why) {
-  std::int64_t hits = 0, misses = 0, insertions = 0, evictions = 0;
-  std::int64_t entries = 0, capacity = 0;
-  std::int64_t disk_hits = 0, disk_rejects = 0, spilled = 0, disk_entries = 0;
-  if (!get_int(obj, "hits", &hits) || !get_int(obj, "misses", &misses) ||
-      !get_int(obj, "insertions", &insertions) ||
-      !get_int(obj, "evictions", &evictions) ||
-      !get_int(obj, "entries", &entries) ||
-      !get_int(obj, "capacity", &capacity) ||
-      !get_int(obj, "disk_hits", &disk_hits) ||
-      !get_int(obj, "disk_rejects", &disk_rejects) ||
-      !get_int(obj, "spilled", &spilled) ||
-      !get_int(obj, "disk_entries", &disk_entries) || hits < 0 ||
-      misses < 0 || insertions < 0 || evictions < 0 || entries < 0 ||
-      capacity < 0 || disk_hits < 0 || disk_rejects < 0 || spilled < 0 ||
-      disk_entries < 0) {
-    *why = "malformed cache stats field";
-    return false;
-  }
-  out->hits = static_cast<std::size_t>(hits);
-  out->misses = static_cast<std::size_t>(misses);
-  out->insertions = static_cast<std::size_t>(insertions);
-  out->evictions = static_cast<std::size_t>(evictions);
-  out->entries = static_cast<std::size_t>(entries);
-  out->capacity = static_cast<std::size_t>(capacity);
-  out->disk_hits = static_cast<std::size_t>(disk_hits);
-  out->disk_rejects = static_cast<std::size_t>(disk_rejects);
-  out->spilled = static_cast<std::size_t>(spilled);
-  out->disk_entries = static_cast<std::size_t>(disk_entries);
-  return true;
+template <bool kOmitDefaults, class T>
+void write_fields(std::string& out, const T& object, bool* first) {
+  std::apply(
+      [&](const auto&... f) {
+        (write_field<kOmitDefaults>(out, object, f, first), ...);
+      },
+      kTable<T>);
 }
 
-void append_pipeline_stats(std::string& out,
-                           const engine::pipeline::PipelineStats& p) {
-  out += "{ \"requests\": " + std::to_string(p.requests);
-  out += ", \"stages\": {";
-  for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
-    const engine::pipeline::StageTally& t = p.stages[i];
-    out += i == 0 ? " \"" : ", \"";
-    out += std::string(
-        engine::to_string(static_cast<engine::PipelineStage>(i)));
-    out += "\": { \"runs\": " + std::to_string(t.runs);
-    out += ", \"skips\": " + std::to_string(t.skips);
-    out += ", \"total_ms\": ";
-    append_double(out, t.total_ms);
-    out += " }";
-  }
-  out += " } }";
+template <class Kind, class C, class M>
+bool read_field(const JsonValue& json, C* object,
+                const Field<Kind, C, M>& f, ReadError& err) {
+  return read_key<Kind>(json, f.name, &(object->*f.member), err);
 }
 
-bool read_pipeline_stats(const JsonValue& obj,
-                         engine::pipeline::PipelineStats* out,
-                         std::string* why) {
-  std::int64_t requests = 0;
-  if (!get_int(obj, "requests", &requests) || requests < 0) {
-    *why = "malformed 'requests' field";
-    return false;
+template <class T>
+bool read_fields(const JsonValue& json, T* object, ReadError& err) {
+  return std::apply(
+      [&](const auto&... f) {
+        return (read_field(json, object, f, err) && ...);
+      },
+      kTable<T>);
+}
+
+// ----------------------------------------------------------------- tables --
+
+using engine::CacheStats;
+using engine::SolveParams;
+using engine::SolveRequest;
+using engine::SolveResult;
+using engine::SolveStats;
+using engine::StageStats;
+using engine::pipeline::PipelineStats;
+using engine::pipeline::StageTally;
+
+template <>
+inline constexpr auto kTable<SolveParams> = std::tuple{
+    field("alpha", &SolveParams::alpha),
+    field("max_spans", &SolveParams::max_spans),
+    field("powerdown_threshold", &SolveParams::powerdown_threshold),
+    field("swap_size", &SolveParams::swap_size),
+    field("block_size", &SolveParams::block_size),
+    field("time_limit_s", &SolveParams::time_limit_s),
+    field("validate", &SolveParams::validate),
+    field("decompose", &SolveParams::decompose),
+    field("compress", &SolveParams::compress),
+};
+
+template <>
+inline constexpr auto kTable<Instance> = std::tuple{
+    field("processors", &Instance::processors),
+    field<Jobs>("jobs", &Instance::jobs),
+};
+
+template <>
+inline constexpr auto kTable<SolveRequest> = std::tuple{
+    field<ObjectiveName>("objective", &SolveRequest::objective),
+    field("params", &SolveRequest::params),
+    field("instance", &SolveRequest::instance),
+};
+
+template <>
+inline constexpr auto kTable<StageStats> = std::tuple{
+    field("ran", &StageStats::ran),
+    field("ms", &StageStats::ms),
+};
+
+template <>
+inline constexpr auto kTable<SolveStats> = std::tuple{
+    field("wall_ms", &SolveStats::wall_ms),
+    field("states", &SolveStats::states),
+    field("nodes", &SolveStats::nodes),
+    field("scheduled", &SolveStats::scheduled),
+    field("components", &SolveStats::components),
+    field("cache_hit", &SolveStats::cache_hit),
+    field("component_cache_hits", &SolveStats::component_cache_hits),
+    field("components_deduped", &SolveStats::components_deduped),
+    field("dead_time_removed", &SolveStats::dead_time_removed),
+    field("memo_arena_solves", &SolveStats::memo_arena_solves),
+    field("memo_hash_solves", &SolveStats::memo_hash_solves),
+    field("memo_parallel_solves", &SolveStats::memo_parallel_solves),
+    field("memo_find_calls", &SolveStats::memo_find_calls),
+    field("memo_probe_steps", &SolveStats::memo_probe_steps),
+    field("memo_pruned", &SolveStats::memo_pruned),
+    field("stages", &SolveStats::stages),
+};
+
+template <>
+inline constexpr auto kTable<SlotWire> = std::tuple{
+    field("job", &SlotWire::job),
+    field("time", &SlotWire::time),
+    field("processor", &SlotWire::processor),
+};
+
+template <>
+inline constexpr auto kTable<ScheduleWire> = std::tuple{
+    field("jobs", &ScheduleWire::jobs),
+    field("slots", &ScheduleWire::slots),
+};
+
+template <>
+inline constexpr auto kTable<SolveResult> = std::tuple{
+    field("ok", &SolveResult::ok),
+    field("error", &SolveResult::error),
+    field("feasible", &SolveResult::feasible),
+    field("cost", &SolveResult::cost),
+    field("transitions", &SolveResult::transitions),
+    field("timed_out", &SolveResult::timed_out),
+    field("audited", &SolveResult::audited),
+    field("audit_error", &SolveResult::audit_error),
+    field("stats", &SolveResult::stats),
+    field<Slots>("schedule", &SolveResult::schedule),
+};
+
+template <>
+inline constexpr auto kTable<CacheStats> = std::tuple{
+    field("hits", &CacheStats::hits),
+    field("misses", &CacheStats::misses),
+    field("insertions", &CacheStats::insertions),
+    field("evictions", &CacheStats::evictions),
+    field("entries", &CacheStats::entries),
+    field("capacity", &CacheStats::capacity),
+    field("disk_hits", &CacheStats::disk_hits),
+    field("disk_rejects", &CacheStats::disk_rejects),
+    field("spilled", &CacheStats::spilled),
+    field("disk_entries", &CacheStats::disk_entries),
+};
+
+template <>
+inline constexpr auto kTable<StageTally> = std::tuple{
+    field("runs", &StageTally::runs),
+    field("skips", &StageTally::skips),
+    field("total_ms", &StageTally::total_ms),
+};
+
+template <>
+inline constexpr auto kTable<PipelineStats> = std::tuple{
+    field("requests", &PipelineStats::requests),
+    field("stages", &PipelineStats::stages),
+};
+
+template <>
+inline constexpr auto kTable<ShardStatsWire> = std::tuple{
+    field<NonNegative>("shard", &ShardStatsWire::shard),
+    field("requests", &ShardStatsWire::requests),
+    field("rejected", &ShardStatsWire::rejected),
+    field("timed_out", &ShardStatsWire::timed_out),
+    field("refuted", &ShardStatsWire::refuted),
+    field("cache_hits", &ShardStatsWire::cache_hits),
+    field("component_cache_hits", &ShardStatsWire::component_cache_hits),
+    field("pipeline", &ShardStatsWire::pipeline),
+};
+
+template <>
+inline constexpr auto kTable<ServerStatsWire> = std::tuple{
+    field("cache", &ServerStatsWire::cache),
+    field("pipeline", &ServerStatsWire::pipeline),
+    field("shards", &ServerStatsWire::shards),
+};
+
+template <>
+inline constexpr auto kTable<FrameHead> = std::tuple{
+    field("frame", &FrameHead::frame),
+    field("id", &FrameHead::id),
+    field("deadline_ms", &FrameHead::deadline_ms),
+    field("message", &FrameHead::message),
+};
+
+template <>
+inline constexpr auto kTable<HelloWire> = std::tuple{
+    field("server", &HelloWire::server),
+    field("protocol", &HelloWire::protocol),
+    field("shards", &HelloWire::shards),
+    field("solvers", &HelloWire::solvers),
+};
+
+// -------------------------------------------------------------- documents --
+
+/// One compact top-level object: the frame header's non-default fields,
+/// then the "gapsched" tag, then the body.
+class DocWriter {
+ public:
+  explicit DocWriter(const FrameHead& head, std::string_view tag = {}) {
+    out_ += '{';
+    write_fields</*kOmitDefaults=*/true>(out_, head, &first_);
+    if (!tag.empty()) field("gapsched", tag);
   }
-  out->requests = static_cast<std::uint64_t>(requests);
-  const JsonValue* stages = obj.find("stages");
-  if (stages == nullptr) return true;  // tolerated: tallies stay zero
-  if (stages->kind != JsonValue::Kind::kObject) {
-    *why = "'stages' must be an object";
-    return false;
+
+  template <class M>
+  DocWriter& field(std::string_view key, const M& value) {
+    write_key(out_, key, &first_);
+    write_value(out_, value);
+    return *this;
   }
-  for (const auto& [name, entry] : stages->members) {
-    const auto stage = engine::pipeline_stage_from_string(name);
-    if (!stage.has_value()) {
-      *why = "unknown pipeline stage '" + name + "'";
-      return false;
-    }
-    engine::pipeline::StageTally& t =
-        out->stages[static_cast<std::size_t>(*stage)];
-    std::int64_t runs = 0, skips = 0;
-    if (entry.kind != JsonValue::Kind::kObject ||
-        !get_int(entry, "runs", &runs) || !get_int(entry, "skips", &skips) ||
-        !get_double(entry, "total_ms", &t.total_ms) || runs < 0 ||
-        skips < 0) {
-      *why = "malformed stage tally '" + name + "'";
-      return false;
-    }
-    t.runs = static_cast<std::uint64_t>(runs);
-    t.skips = static_cast<std::uint64_t>(skips);
+
+  template <class T>
+  DocWriter& fields(const T& object) {
+    write_fields(out_, object, &first_);
+    return *this;
   }
-  return true;
+
+  /// Closes the object and hands over its text.
+  std::string str() {
+    out_ += '}';
+    return std::move(out_);
+  }
+
+ private:
+  std::string out_;
+  bool first_ = true;
+};
+
+/// Sets *error, when the caller asked for it, and returns nullopt.
+std::nullopt_t reject(std::string* error, std::string why) {
+  if (error != nullptr) *error = std::move(why);
+  return std::nullopt;
+}
+
+/// Parses `text` and requires an object at the top level.
+std::optional<JsonValue> parse_object(std::string_view text,
+                                      std::string_view what,
+                                      std::string* error) {
+  Parser parser(text);
+  std::optional<JsonValue> doc = parser.parse(error);
+  if (doc.has_value() && doc->kind != JsonValue::Kind::kObject) {
+    return reject(error, std::string(what) + " must be an object");
+  }
+  return doc;
+}
+
+/// Reads T's table from the top level of the document in `text`.
+template <class T>
+std::optional<T> read_document(std::string_view text, std::string_view what,
+                               std::string* error) {
+  const std::optional<JsonValue> doc = parse_object(text, what, error);
+  if (!doc.has_value()) return std::nullopt;
+  T value{};
+  ReadError err;
+  if (!read_fields(*doc, &value, err)) return reject(error, err.text());
+  return value;
 }
 
 }  // namespace
 
+std::string frame_to_json(const FrameHead& head) {
+  return DocWriter(head).str();
+}
+
+std::string frame_to_json(const FrameHead& head, const HelloWire& hello) {
+  return DocWriter(head).fields(hello).str();
+}
+
+std::string frame_to_json(const FrameHead& head, std::string_view solver,
+                          const engine::SolveRequest& request) {
+  return DocWriter(head, "request")
+      .field("solver", solver)
+      .fields(request)
+      .str();
+}
+
+std::string frame_to_json(const FrameHead& head,
+                          const engine::SolveResult& result) {
+  return DocWriter(head, "result").fields(result).str();
+}
+
+std::string frame_to_json(const FrameHead& head,
+                          const ServerStatsWire& stats) {
+  return DocWriter(head, "server_stats").fields(stats).str();
+}
+
 std::string request_to_json(std::string_view solver,
                             const engine::SolveRequest& request) {
-  const engine::SolveParams& p = request.params;
-  std::string out;
-  out += "{\n  \"gapsched\": \"request\",\n  \"solver\": ";
-  append_escaped(out, solver);
-  out += ",\n  \"objective\": ";
-  append_escaped(out, engine::to_string(request.objective));
-  out += ",\n  \"params\": {\n    \"alpha\": ";
-  append_double(out, p.alpha);
-  out += ",\n    \"max_spans\": " + std::to_string(p.max_spans);
-  out += ",\n    \"powerdown_threshold\": ";
-  append_double(out, p.powerdown_threshold);
-  out += ",\n    \"swap_size\": " + std::to_string(p.swap_size);
-  out += ",\n    \"block_size\": " + std::to_string(p.block_size);
-  out += ",\n    \"time_limit_s\": ";
-  append_double(out, p.time_limit_s);
-  out += ",\n    \"validate\": ";
-  append_bool(out, p.validate);
-  out += ",\n    \"decompose\": ";
-  append_bool(out, p.decompose);
-  out += ",\n    \"compress\": ";
-  append_bool(out, p.compress);
-  out += "\n  },\n  \"instance\": {\n    \"processors\": " +
-         std::to_string(request.instance.processors);
-  out += ",\n    \"jobs\": [";
-  for (std::size_t j = 0; j < request.instance.n(); ++j) {
-    out += j == 0 ? "\n" : ",\n";
-    out += "      [";
-    const TimeSet& allowed = request.instance.jobs[j].allowed;
-    for (std::size_t k = 0; k < allowed.intervals().size(); ++k) {
-      if (k > 0) out += ", ";
-      const Interval& iv = allowed.intervals()[k];
-      out += '[' + std::to_string(iv.lo) + ", " + std::to_string(iv.hi) + ']';
-    }
-    out += ']';
-  }
-  out += request.instance.n() == 0 ? "]\n" : "\n    ]\n";
-  out += "  }\n}";
-  return out;
+  return frame_to_json(FrameHead{}, solver, request);
 }
 
 std::optional<engine::SolveRequest> request_from_json(std::string_view text,
                                                       std::string* solver,
                                                       std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
+  const std::optional<JsonValue> doc =
+      parse_object(text, "request document", error);
   if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "request document must be an object";
-    return std::nullopt;
-  }
-  std::string why;
-  std::string solver_name;
-  if (!get_string(*doc, "solver", &solver_name) || solver_name.empty()) {
-    if (error != nullptr) *error = "missing 'solver' field";
-    return std::nullopt;
-  }
+  std::string name;
   engine::SolveRequest request;
-  std::string objective_name;
-  if (!get_string(*doc, "objective", &objective_name)) {
-    if (error != nullptr) *error = "malformed 'objective'";
-    return std::nullopt;
+  ReadError err;
+  if (!read_key(*doc, "solver", &name, err) ||
+      !read_fields(*doc, &request, err)) {
+    return reject(error, err.text());
   }
-  if (!objective_name.empty()) {
-    const auto obj = engine::objective_from_string(objective_name);
-    if (!obj.has_value()) {
-      if (error != nullptr) *error = "unknown objective '" + objective_name + "'";
-      return std::nullopt;
-    }
-    request.objective = *obj;
+  if (name.empty()) return reject(error, "missing 'solver' field");
+  const JsonValue* instance = doc->find("instance");
+  if (instance == nullptr || instance->find("jobs") == nullptr) {
+    return reject(error, "missing 'instance.jobs' array");
   }
-  if (!parse_params(*doc, &request.params, &why) ||
-      !parse_instance(*doc, &request.instance, &why)) {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  }
-  if (solver != nullptr) *solver = std::move(solver_name);
+  if (solver != nullptr) *solver = std::move(name);
   return request;
 }
 
 std::string result_to_json(const engine::SolveResult& result) {
-  std::string out;
-  out += "{\n  \"gapsched\": \"result\",\n  \"ok\": ";
-  append_bool(out, result.ok);
-  out += ",\n  \"error\": ";
-  append_escaped(out, result.error);
-  out += ",\n  \"feasible\": ";
-  append_bool(out, result.feasible);
-  out += ",\n  \"cost\": ";
-  append_double(out, result.cost);
-  out += ",\n  \"transitions\": " + std::to_string(result.transitions);
-  out += ",\n  \"timed_out\": ";
-  append_bool(out, result.timed_out);
-  out += ",\n  \"audited\": ";
-  append_bool(out, result.audited);
-  out += ",\n  \"audit_error\": ";
-  append_escaped(out, result.audit_error);
-  const engine::SolveStats& s = result.stats;
-  out += ",\n  \"stats\": {\n    \"wall_ms\": ";
-  append_double(out, s.wall_ms);
-  out += ",\n    \"states\": " + std::to_string(s.states);
-  out += ",\n    \"nodes\": " + std::to_string(s.nodes);
-  out += ",\n    \"scheduled\": " + std::to_string(s.scheduled);
-  out += ",\n    \"components\": " + std::to_string(s.components);
-  out += ",\n    \"cache_hit\": ";
-  append_bool(out, s.cache_hit);
-  out += ",\n    \"component_cache_hits\": " +
-         std::to_string(s.component_cache_hits);
-  out += ",\n    \"components_deduped\": " +
-         std::to_string(s.components_deduped);
-  out += ",\n    \"dead_time_removed\": " +
-         std::to_string(s.dead_time_removed);
-  out += ",\n    \"memo_arena_solves\": " + std::to_string(s.memo_arena_solves);
-  out += ",\n    \"memo_hash_solves\": " + std::to_string(s.memo_hash_solves);
-  out += ",\n    \"memo_parallel_solves\": " +
-         std::to_string(s.memo_parallel_solves);
-  out += ",\n    \"memo_find_calls\": " + std::to_string(s.memo_find_calls);
-  out += ",\n    \"memo_probe_steps\": " + std::to_string(s.memo_probe_steps);
-  out += ",\n    \"memo_pruned\": " + std::to_string(s.memo_pruned);
-  out += ",\n    \"stages\": {";
-  for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
-    const engine::StageStats& st = s.stages[i];
-    out += i == 0 ? "\n      \"" : ",\n      \"";
-    out += std::string(
-        engine::to_string(static_cast<engine::PipelineStage>(i)));
-    out += "\": { \"ran\": ";
-    append_bool(out, st.ran);
-    out += ", \"ms\": ";
-    append_double(out, st.ms);
-    out += " }";
-  }
-  out += "\n    }";
-  out += "\n  },\n  \"schedule\": {\n    \"jobs\": " +
-         std::to_string(result.schedule.size());
-  out += ",\n    \"slots\": [";
-  bool first = true;
-  for (std::size_t j = 0; j < result.schedule.size(); ++j) {
-    const std::optional<Placement>& slot = result.schedule.at(j);
-    if (!slot.has_value()) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "      { \"job\": " + std::to_string(j) +
-           ", \"time\": " + std::to_string(slot->time) +
-           ", \"processor\": " + std::to_string(slot->processor) + " }";
-  }
-  out += first ? "]\n" : "\n    ]\n";
-  out += "  }\n}";
-  return out;
+  return frame_to_json(FrameHead{}, result);
 }
 
 std::optional<engine::SolveResult> result_from_json(std::string_view text,
                                                     std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "result document must be an object";
-    return std::nullopt;
-  }
-  engine::SolveResult result;
-  std::int64_t transitions = 0;
-  const bool ok = get_bool(*doc, "ok", &result.ok) &&
-                  get_string(*doc, "error", &result.error) &&
-                  get_bool(*doc, "feasible", &result.feasible) &&
-                  get_double(*doc, "cost", &result.cost) &&
-                  get_int(*doc, "transitions", &transitions) &&
-                  get_bool(*doc, "timed_out", &result.timed_out) &&
-                  get_bool(*doc, "audited", &result.audited) &&
-                  get_string(*doc, "audit_error", &result.audit_error);
-  if (!ok) {
-    if (error != nullptr) *error = "malformed result field";
-    return std::nullopt;
-  }
-  result.transitions = transitions;
-  if (const JsonValue* s = doc->find("stats");
-      s != nullptr && s->kind == JsonValue::Kind::kObject) {
-    std::int64_t states = 0, nodes = 0, scheduled = 0, components = 0;
-    std::int64_t comp_hits = 0, deduped = 0;
-    std::int64_t memo_arena = 0, memo_hash = 0, memo_parallel = 0;
-    std::int64_t memo_finds = 0, memo_probes = 0, memo_pruned = 0;
-    if (!get_double(*s, "wall_ms", &result.stats.wall_ms) ||
-        !get_int(*s, "states", &states) || !get_int(*s, "nodes", &nodes) ||
-        !get_int(*s, "scheduled", &scheduled) ||
-        !get_int(*s, "components", &components) ||
-        !get_bool(*s, "cache_hit", &result.stats.cache_hit) ||
-        !get_int(*s, "component_cache_hits", &comp_hits) ||
-        !get_int(*s, "components_deduped", &deduped) ||
-        !get_int(*s, "dead_time_removed", &result.stats.dead_time_removed) ||
-        !get_int(*s, "memo_arena_solves", &memo_arena) ||
-        !get_int(*s, "memo_hash_solves", &memo_hash) ||
-        !get_int(*s, "memo_parallel_solves", &memo_parallel) ||
-        !get_int(*s, "memo_find_calls", &memo_finds) ||
-        !get_int(*s, "memo_probe_steps", &memo_probes) ||
-        !get_int(*s, "memo_pruned", &memo_pruned)) {
-      if (error != nullptr) *error = "malformed 'stats' field";
-      return std::nullopt;
-    }
-    result.stats.states = static_cast<std::size_t>(states);
-    result.stats.nodes = static_cast<std::size_t>(nodes);
-    result.stats.scheduled = static_cast<std::size_t>(scheduled);
-    result.stats.components = static_cast<std::size_t>(components);
-    result.stats.component_cache_hits = static_cast<std::size_t>(comp_hits);
-    result.stats.components_deduped = static_cast<std::size_t>(deduped);
-    result.stats.memo_arena_solves = static_cast<std::size_t>(memo_arena);
-    result.stats.memo_hash_solves = static_cast<std::size_t>(memo_hash);
-    result.stats.memo_parallel_solves =
-        static_cast<std::size_t>(memo_parallel);
-    result.stats.memo_find_calls = static_cast<std::uint64_t>(memo_finds);
-    result.stats.memo_probe_steps = static_cast<std::uint64_t>(memo_probes);
-    result.stats.memo_pruned = static_cast<std::uint64_t>(memo_pruned);
-    if (const JsonValue* stages = s->find("stages"); stages != nullptr) {
-      if (stages->kind != JsonValue::Kind::kObject) {
-        if (error != nullptr) *error = "'stats.stages' must be an object";
-        return std::nullopt;
-      }
-      for (const auto& [name, entry] : stages->members) {
-        const auto stage = engine::pipeline_stage_from_string(name);
-        if (!stage.has_value()) {
-          if (error != nullptr) {
-            *error = "unknown pipeline stage '" + name + "'";
-          }
-          return std::nullopt;
-        }
-        engine::StageStats& st =
-            result.stats.stages[static_cast<std::size_t>(*stage)];
-        if (entry.kind != JsonValue::Kind::kObject ||
-            !get_bool(entry, "ran", &st.ran) ||
-            !get_double(entry, "ms", &st.ms)) {
-          if (error != nullptr) {
-            *error = "malformed stage entry '" + name + "'";
-          }
-          return std::nullopt;
-        }
-      }
-    }
-  }
-  if (const JsonValue* sched = doc->find("schedule");
-      sched != nullptr && sched->kind == JsonValue::Kind::kObject) {
-    std::int64_t n = 0;
-    if (!get_int(*sched, "jobs", &n) || n < 0) {
-      if (error != nullptr) *error = "malformed 'schedule.jobs'";
-      return std::nullopt;
-    }
-    Schedule schedule(static_cast<std::size_t>(n));
-    const JsonValue* slots = sched->find("slots");
-    if (slots != nullptr) {
-      if (slots->kind != JsonValue::Kind::kArray) {
-        if (error != nullptr) *error = "'schedule.slots' must be an array";
-        return std::nullopt;
-      }
-      for (const JsonValue& slot : slots->elements) {
-        std::int64_t job = -1, time = 0, processor = Placement::kUnassigned;
-        if (slot.kind != JsonValue::Kind::kObject ||
-            !get_int(slot, "job", &job) || !get_int(slot, "time", &time) ||
-            !get_int(slot, "processor", &processor) || job < 0 || job >= n ||
-            !fits_int(processor)) {
-          if (error != nullptr) *error = "malformed schedule slot";
-          return std::nullopt;
-        }
-        schedule.place(static_cast<std::size_t>(job), time,
-                       static_cast<int>(processor));
-      }
-    }
-    result.schedule = std::move(schedule);
-  }
-  return result;
+  return read_document<engine::SolveResult>(text, "result document", error);
 }
 
 std::string cache_stats_to_json(const engine::CacheStats& stats) {
-  std::string out = "{ \"gapsched\": \"cache_stats\", ";
-  std::string body;
-  append_cache_stats(body, stats);
-  out += body.substr(2);  // splice past the bare writer's "{ "
-  return out;
+  return DocWriter(FrameHead{}, "cache_stats").fields(stats).str();
 }
 
 std::optional<engine::CacheStats> cache_stats_from_json(std::string_view text,
                                                         std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  std::string why = "cache stats document must be an object";
-  engine::CacheStats stats;
-  if (doc->kind == JsonValue::Kind::kObject &&
-      read_cache_stats(*doc, &stats, &why)) {
-    return stats;
-  }
-  if (error != nullptr) *error = why;
-  return std::nullopt;
+  return read_document<engine::CacheStats>(text, "cache stats document",
+                                           error);
 }
 
 std::string pipeline_stats_to_json(
     const engine::pipeline::PipelineStats& stats) {
-  std::string out = "{ \"gapsched\": \"pipeline_stats\", ";
-  std::string body;
-  append_pipeline_stats(body, stats);
-  out += body.substr(2);
-  return out;
+  return DocWriter(FrameHead{}, "pipeline_stats").fields(stats).str();
 }
 
 std::optional<engine::pipeline::PipelineStats> pipeline_stats_from_json(
     std::string_view text, std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  std::string why = "pipeline stats document must be an object";
-  engine::pipeline::PipelineStats stats;
-  if (doc->kind == JsonValue::Kind::kObject &&
-      read_pipeline_stats(*doc, &stats, &why)) {
-    return stats;
-  }
-  if (error != nullptr) *error = why;
-  return std::nullopt;
+  return read_document<engine::pipeline::PipelineStats>(
+      text, "pipeline stats document", error);
 }
 
 std::string server_stats_to_json(const ServerStatsWire& stats) {
-  std::string out = "{ \"gapsched\": \"server_stats\", \"cache\": ";
-  append_cache_stats(out, stats.cache);
-  out += ", \"pipeline\": ";
-  append_pipeline_stats(out, stats.pipeline);
-  out += ", \"shards\": [";
-  for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-    const ShardStatsWire& s = stats.shards[i];
-    out += i == 0 ? " " : ", ";
-    out += "{ \"shard\": " + std::to_string(s.shard);
-    out += ", \"requests\": " + std::to_string(s.requests);
-    out += ", \"rejected\": " + std::to_string(s.rejected);
-    out += ", \"timed_out\": " + std::to_string(s.timed_out);
-    out += ", \"refuted\": " + std::to_string(s.refuted);
-    out += ", \"cache_hits\": " + std::to_string(s.cache_hits);
-    out += ", \"component_cache_hits\": " +
-           std::to_string(s.component_cache_hits);
-    out += ", \"pipeline\": ";
-    append_pipeline_stats(out, s.pipeline);
-    out += " }";
-  }
-  out += stats.shards.empty() ? "] }" : " ] }";
-  return out;
+  return frame_to_json(FrameHead{}, stats);
 }
 
 std::optional<ServerStatsWire> server_stats_from_json(std::string_view text,
                                                       std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "server stats document must be an object";
-    return std::nullopt;
-  }
-  ServerStatsWire stats;
-  std::string why;
-  if (const JsonValue* cache = doc->find("cache"); cache != nullptr) {
-    if (cache->kind != JsonValue::Kind::kObject ||
-        !read_cache_stats(*cache, &stats.cache, &why)) {
-      if (error != nullptr) *error = "malformed 'cache' object";
-      return std::nullopt;
-    }
-  }
-  if (const JsonValue* pipe = doc->find("pipeline"); pipe != nullptr) {
-    if (pipe->kind != JsonValue::Kind::kObject ||
-        !read_pipeline_stats(*pipe, &stats.pipeline, &why)) {
-      if (error != nullptr) *error = "malformed 'pipeline' object: " + why;
-      return std::nullopt;
-    }
-  }
-  const JsonValue* shards = doc->find("shards");
-  if (shards == nullptr) return stats;  // tolerated: no per-shard view
-  if (shards->kind != JsonValue::Kind::kArray) {
-    if (error != nullptr) *error = "'shards' must be an array";
-    return std::nullopt;
-  }
-  for (const JsonValue& entry : shards->elements) {
-    ShardStatsWire s;
-    std::int64_t requests = 0, rejected = 0, timed_out = 0, refuted = 0;
-    std::int64_t cache_hits = 0, component_hits = 0;
-    if (entry.kind != JsonValue::Kind::kObject ||
-        !get_int(entry, "shard", &s.shard) ||
-        !get_int(entry, "requests", &requests) ||
-        !get_int(entry, "rejected", &rejected) ||
-        !get_int(entry, "timed_out", &timed_out) ||
-        !get_int(entry, "refuted", &refuted) ||
-        !get_int(entry, "cache_hits", &cache_hits) ||
-        !get_int(entry, "component_cache_hits", &component_hits) ||
-        s.shard < 0 || requests < 0 || rejected < 0 || timed_out < 0 ||
-        refuted < 0 || cache_hits < 0 || component_hits < 0) {
-      if (error != nullptr) *error = "malformed shard entry";
-      return std::nullopt;
-    }
-    s.requests = static_cast<std::uint64_t>(requests);
-    s.rejected = static_cast<std::uint64_t>(rejected);
-    s.timed_out = static_cast<std::uint64_t>(timed_out);
-    s.refuted = static_cast<std::uint64_t>(refuted);
-    s.cache_hits = static_cast<std::uint64_t>(cache_hits);
-    s.component_cache_hits = static_cast<std::uint64_t>(component_hits);
-    if (const JsonValue* pipe = entry.find("pipeline"); pipe != nullptr) {
-      if (pipe->kind != JsonValue::Kind::kObject ||
-          !read_pipeline_stats(*pipe, &s.pipeline, &why)) {
-        if (error != nullptr) *error = "malformed shard pipeline: " + why;
-        return std::nullopt;
-      }
-    }
-    stats.shards.push_back(std::move(s));
-  }
-  return stats;
+  return read_document<ServerStatsWire>(text, "server stats document", error);
 }
 
 std::optional<FrameHead> frame_head_from_json(std::string_view text,
                                               std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (!doc.has_value()) return std::nullopt;
-  if (doc->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) *error = "frame must be an object";
-    return std::nullopt;
-  }
-  FrameHead head;
-  if (!get_string(*doc, "frame", &head.frame) || head.frame.empty()) {
-    if (error != nullptr) *error = "missing 'frame' field";
-    return std::nullopt;
-  }
-  if (!get_int(*doc, "id", &head.id) ||
-      !get_double(*doc, "deadline_ms", &head.deadline_ms) ||
-      !get_string(*doc, "message", &head.message) || head.deadline_ms < 0.0 ||
-      !std::isfinite(head.deadline_ms)) {
-    if (error != nullptr) *error = "malformed frame header field";
-    return std::nullopt;
+  std::optional<FrameHead> head =
+      read_document<FrameHead>(text, "frame", error);
+  if (!head.has_value()) return std::nullopt;
+  if (head->frame.empty()) return reject(error, "missing 'frame' field");
+  if (head->deadline_ms < 0.0 || !std::isfinite(head->deadline_ms)) {
+    return reject(error, "malformed 'deadline_ms': expected a finite, "
+                       "non-negative number");
   }
   return head;
 }

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -17,104 +16,47 @@ namespace gapsched::serve {
 
 namespace {
 
-/// Collapses the codec's pretty-printed documents onto one line. Raw
-/// newline bytes only ever appear as formatting (string values escape
-/// control characters), so dropping each '\n' and the indentation that
-/// follows it is content-preserving.
-std::string compact(std::string_view pretty) {
-  std::string out;
-  out.reserve(pretty.size());
-  std::size_t i = 0;
-  while (i < pretty.size()) {
-    const char c = pretty[i];
-    if (c == '\n') {
-      ++i;
-      while (i < pretty.size() && pretty[i] == ' ') ++i;
-      continue;
-    }
-    out += c;
-    ++i;
-  }
-  return out;
-}
-
-/// Splices a frame header into a one-line document: '{' + header + rest.
-std::string with_header(std::string head_fields, std::string_view doc) {
-  std::string out = "{" + std::move(head_fields);
-  // doc is "{...}" or "{}"; keep a separating comma only when non-empty.
-  std::string_view rest = doc.substr(1);
-  while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\n')) {
-    rest.remove_prefix(1);
-  }
-  if (rest != "}") out += ",";
-  out += rest;
-  return out;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+/// A frame header; the defaults (no id, deadline or message) stay off the
+/// wire.
+io::FrameHead head(std::string frame, std::int64_t id = -1,
+                   double deadline_ms = 0.0, std::string message = {}) {
+  return {std::move(frame), id, deadline_ms, std::move(message)};
 }
 
 }  // namespace
 
 std::string hello_frame(std::size_t shards, std::size_t solvers) {
-  return "{\"frame\":\"hello\",\"server\":\"gapsched_serve\",\"protocol\":" +
-         std::to_string(kProtocolVersion) +
-         ",\"shards\":" + std::to_string(shards) +
-         ",\"solvers\":" + std::to_string(solvers) + "}";
+  return io::frame_to_json(head("hello"),
+                           io::HelloWire{.server = "gapsched_serve",
+                                         .protocol = kProtocolVersion,
+                                         .shards = shards,
+                                         .solvers = solvers});
 }
 
 std::string request_frame(std::int64_t id, std::string_view solver,
                           const engine::SolveRequest& request,
                           double deadline_ms) {
-  std::string head = "\"frame\":\"request\",\"id\":" + std::to_string(id);
-  if (deadline_ms > 0.0) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, ",\"deadline_ms\":%.6g", deadline_ms);
-    head += buf;
-  }
-  return with_header(std::move(head),
-                     compact(io::request_to_json(solver, request)));
+  return io::frame_to_json(
+      head("request", id, deadline_ms > 0.0 ? deadline_ms : 0.0), solver,
+      request);
 }
 
 std::string result_frame(std::int64_t id, const engine::SolveResult& result) {
-  return with_header("\"frame\":\"result\",\"id\":" + std::to_string(id),
-                     compact(io::result_to_json(result)));
+  return io::frame_to_json(head("result", id), result);
 }
 
-std::string stats_request_frame() { return "{\"frame\":\"stats\"}"; }
+std::string stats_request_frame() {
+  return io::frame_to_json(head("stats"));
+}
 
 std::string stats_frame(const io::ServerStatsWire& stats) {
-  return with_header("\"frame\":\"stats\"",
-                     compact(io::server_stats_to_json(stats)));
+  return io::frame_to_json(head("stats"), stats);
 }
 
-std::string drain_frame() { return "{\"frame\":\"drain\"}"; }
+std::string drain_frame() { return io::frame_to_json(head("drain")); }
 
 std::string error_frame(std::int64_t id, std::string_view message) {
-  std::string out = "{\"frame\":\"error\",\"id\":" + std::to_string(id) +
-                    ",\"message\":";
-  append_escaped(out, message);
-  out += "}";
-  return out;
+  return io::frame_to_json(head("error", id, 0.0, std::string(message)));
 }
 
 // --------------------------------------------------------- LineBuffer --

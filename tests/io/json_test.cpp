@@ -224,6 +224,135 @@ TEST(JsonCodec, MalformedDocumentsAreRejectedWithDiagnostics) {
                                       "processor": -1}]}})",
                        &error)
           .has_value());  // slot out of range
+
+  // Every reader follows the same rules: a counter that cannot be negative
+  // rejects a negative value, and a nested object of the wrong JSON type
+  // is an error naming the field rather than a silently ignored key.
+  EXPECT_FALSE(
+      result_from_json(R"({"ok": true, "stats": {"states": -1}})", &error)
+          .has_value());
+  EXPECT_NE(error.find("stats.states"), std::string::npos) << error;
+  EXPECT_FALSE(
+      result_from_json(R"({"ok": true, "stats": 5})", &error).has_value());
+  EXPECT_NE(error.find("stats"), std::string::npos) << error;
+  EXPECT_FALSE(result_from_json(R"({"ok": true, "schedule": "x"})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("schedule"), std::string::npos) << error;
+  EXPECT_FALSE(result_from_json(R"({"ok": true, "schedule": {"jobs": 1,
+                                   "slots": [{"job": 0, "time": 0,
+                                              "processor": 4294967297}]}})",
+                                &error)
+                   .has_value());  // processor does not fit an int
+  EXPECT_FALSE(
+      result_from_json(R"({"ok": true, "stats": {"memo_pruned": true}})",
+                       &error)
+          .has_value());
+  EXPECT_FALSE(cache_stats_from_json(R"({"spilled": -2})", &error)
+                   .has_value());
+  EXPECT_FALSE(pipeline_stats_from_json(
+                   R"({"stages": {"audit": {"runs": -1}}})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("stages.audit.runs"), std::string::npos) << error;
+  EXPECT_FALSE(server_stats_from_json(R"({"shards": [{"shard": -1}]})",
+                                      &error)
+                   .has_value());
+  EXPECT_NE(error.find("shards[0].shard"), std::string::npos) << error;
+  // A schedule is sized by its claimed job count before any slot is read;
+  // an absurd count is a diagnostic, not an allocation failure.
+  EXPECT_FALSE(result_from_json(
+                   R"({"ok": true, "schedule": {"jobs": 99999999999999}})",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("schedule.jobs"), std::string::npos) << error;
+}
+
+TEST(JsonCodec, IndentedPayloadsFromEarlierBuildsStillDecode) {
+  // A result payload as earlier builds wrote it into disk stores: indented,
+  // spaces after colons. It must decode to the same result as the compact
+  // form the codec writes today.
+  const std::string legacy = R"({
+  "gapsched": "result",
+  "ok": true,
+  "error": "",
+  "feasible": true,
+  "cost": 1,
+  "transitions": 1,
+  "timed_out": false,
+  "audited": false,
+  "audit_error": "",
+  "stats": {
+    "wall_ms": 0.225967,
+    "states": 40,
+    "nodes": 0,
+    "scheduled": 3,
+    "components": 1,
+    "cache_hit": false,
+    "component_cache_hits": 0,
+    "components_deduped": 0,
+    "dead_time_removed": 0,
+    "memo_arena_solves": 1,
+    "memo_hash_solves": 0,
+    "memo_parallel_solves": 0,
+    "memo_find_calls": 58,
+    "memo_probe_steps": 0,
+    "memo_pruned": 9,
+    "stages": {
+      "canonicalize": { "ran": false, "ms": 0.000343 },
+      "decompose": { "ran": true, "ms": 0.019313999999999998 },
+      "compress": { "ran": true, "ms": 0.0034000000000000002 },
+      "cache_lookup": { "ran": true, "ms": 0.006292 },
+      "dispatch": { "ran": true, "ms": 0.193386 },
+      "recombine": { "ran": true, "ms": 0.0026060000000000002 },
+      "audit": { "ran": false, "ms": 0.000183 }
+    }
+  },
+  "schedule": {
+    "jobs": 3,
+    "slots": [
+      { "job": 0, "time": 1, "processor": 0 },
+      { "job": 1, "time": 3, "processor": 0 },
+      { "job": 2, "time": 2, "processor": 0 }
+    ]
+  }
+})";
+
+  SolveResult expected;
+  expected.ok = true;
+  expected.feasible = true;
+  expected.cost = 1;
+  expected.transitions = 1;
+  expected.stats.wall_ms = 0.225967;
+  expected.stats.states = 40;
+  expected.stats.scheduled = 3;
+  expected.stats.components = 1;
+  expected.stats.memo_arena_solves = 1;
+  expected.stats.memo_find_calls = 58;
+  expected.stats.memo_pruned = 9;
+  const double stage_ms[] = {0.000343, 0.019313999999999998,
+                             0.0034000000000000002, 0.006292, 0.193386,
+                             0.0026060000000000002, 0.000183};
+  for (std::size_t i = 0; i < engine::kPipelineStageCount; ++i) {
+    expected.stats.stages[i].ran = i != 0 && i != 6;
+    expected.stats.stages[i].ms = stage_ms[i];
+  }
+  expected.schedule = Schedule(3);
+  expected.schedule.place(0, 1, 0);
+  expected.schedule.place(1, 3, 0);
+  expected.schedule.place(2, 2, 0);
+  const std::string compact = result_to_json(expected);
+  EXPECT_EQ(compact.find('\n'), std::string::npos) << compact;
+  EXPECT_EQ(compact.find(": "), std::string::npos) << compact;
+
+  std::string error;
+  const auto from_legacy = result_from_json(legacy, &error);
+  ASSERT_TRUE(from_legacy.has_value()) << error;
+  const auto from_compact = result_from_json(compact, &error);
+  ASSERT_TRUE(from_compact.has_value()) << error;
+  EXPECT_EQ(from_legacy->schedule, from_compact->schedule);
+  EXPECT_EQ(from_legacy->cost, from_compact->cost);
+  // Every other field agrees too: both decode to the same compact bytes.
+  EXPECT_EQ(result_to_json(*from_legacy), compact);
+  EXPECT_EQ(result_to_json(*from_compact), compact);
 }
 
 TEST(JsonCodec, DuplicateKeysAreRejected) {

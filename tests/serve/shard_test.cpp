@@ -123,21 +123,22 @@ TEST(ServeShard, ShardPoolDrainCompletesAcceptedWorkThenRefuses) {
 }
 
 TEST(ServeShard, TallyAbsorbsResultOutcomes) {
-  ShardTally tally;
+  io::ShardStatsWire tally;
+  tally.shard = 3;
   engine::SolveResult ok;
   ok.ok = true;
   ok.feasible = true;
   ok.stats.cache_hit = true;
   ok.stats.component_cache_hits = 2;
-  tally.absorb(ok);
+  absorb(tally, ok);
   engine::SolveResult rejected = engine::SolveResult::rejected("nope");
   rejected.timed_out = true;
-  tally.absorb(rejected);
+  absorb(tally, rejected);
   engine::SolveResult refuted;
   refuted.ok = true;
   refuted.audited = true;
   refuted.audit_error = "cost mismatch";
-  tally.absorb(refuted);
+  absorb(tally, refuted);
 
   EXPECT_EQ(tally.requests, 3u);
   EXPECT_EQ(tally.rejected, 1u);
@@ -145,12 +146,8 @@ TEST(ServeShard, TallyAbsorbsResultOutcomes) {
   EXPECT_EQ(tally.refuted, 1u);
   EXPECT_EQ(tally.cache_hits, 1u);
   EXPECT_EQ(tally.component_cache_hits, 2u);
-
-  const io::ShardStatsWire wire = tally.wire(3);
-  EXPECT_EQ(wire.shard, 3);
-  EXPECT_EQ(wire.requests, 3u);
-  EXPECT_EQ(wire.refuted, 1u);
-  EXPECT_EQ(wire.cache_hits, 1u);
+  EXPECT_EQ(tally.shard, 3);
+  EXPECT_EQ(tally.pipeline.requests, 3u);
 }
 
 }  // namespace

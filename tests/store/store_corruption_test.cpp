@@ -20,6 +20,7 @@
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "gapsched/store/store.hpp"
+#include "../support/temp_dir.hpp"
 
 namespace gapsched::store {
 namespace {
@@ -27,7 +28,7 @@ namespace {
 constexpr const char* kSolver = "gap_dp";
 
 std::string temp_path(const std::string& name) {
-  std::string path = ::testing::TempDir() + "gapsched_" + name + ".store";
+  std::string path = testing::temp_dir() + "gapsched_" + name + ".store";
   std::remove(path.c_str());
   return path;
 }
@@ -263,9 +264,10 @@ TEST(StoreCorruption, ForgedChecksumIsCaughtOnlyByTheOracle) {
     std::string record = bytes.substr(rec.offset, rec.bytes);
     // Bump the leading digit of the payload's "cost" field in place: the
     // JSON stays valid and parseable, the claimed cost is simply wrong.
-    const std::size_t cost_at = record.find("\"cost\": ");
+    const std::string_view cost_key = "\"cost\":";
+    const std::size_t cost_at = record.find(cost_key);
     if (cost_at == std::string::npos) continue;
-    char& digit = record[cost_at + 8];
+    char& digit = record[cost_at + cost_key.size()];
     if (digit < '0' || digit > '9') continue;
     digit = digit == '9' ? '8' : static_cast<char>(digit + 1);
     // Recompute FNV-1a over everything before the checksum and patch it.

@@ -14,6 +14,7 @@
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "gapsched/store/store.hpp"
+#include "../support/temp_dir.hpp"
 
 namespace gapsched::store {
 namespace {
@@ -21,7 +22,7 @@ namespace {
 constexpr const char* kSolver = "gap_dp";
 
 std::string temp_path(const std::string& name) {
-  std::string path = ::testing::TempDir() + "gapsched_" + name + ".store";
+  std::string path = testing::temp_dir() + "gapsched_" + name + ".store";
   std::remove(path.c_str());
   return path;
 }

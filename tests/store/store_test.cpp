@@ -16,6 +16,7 @@
 
 #include "gapsched/core/hash.hpp"
 #include "gapsched/store/store.hpp"
+#include "../support/temp_dir.hpp"
 
 namespace gapsched::store {
 namespace {
@@ -23,7 +24,7 @@ namespace {
 /// A fresh path under the test temp dir; any stale file is removed so the
 /// store is created from scratch.
 std::string fresh_path(const std::string& name) {
-  std::string path = ::testing::TempDir() + "gapsched_" + name + ".store";
+  std::string path = testing::temp_dir() + "gapsched_" + name + ".store";
   std::remove(path.c_str());
   std::remove((path + ".compact").c_str());
   return path;
