@@ -20,9 +20,11 @@ namespace gapsched::engine::pipeline {
 
 namespace {
 
-/// Components are fanned over the fan-out pool only when the largest one
-/// is at least this many jobs: dispatch overhead exceeds an entire
-/// small-cluster DP solve, so small decompositions run inline.
+/// Components are fanned over the fan-out pool only when there are at
+/// least two of them and the largest is at least this many jobs: dispatch
+/// overhead exceeds an entire small-cluster DP solve, so small
+/// decompositions run inline, and a lone component has nothing to run
+/// beside it.
 constexpr std::size_t kParallelFanoutMinComponentJobs = 16;
 
 constexpr std::size_t kNoDup = static_cast<std::size_t>(-1);
@@ -352,7 +354,7 @@ void Pipeline::dispatch(SolveContext& ctx) {
     ctx.parts[c] = ctx.solver.do_solve(sub);
     solve_ms[c] = solve_watch.millis();
   };
-  if (largest >= kParallelFanoutMinComponentJobs) {
+  if (ctx.to_solve.size() > 1 && largest >= kParallelFanoutMinComponentJobs) {
     ThreadPool& pool =
         ctx.env.fanout != nullptr ? *ctx.env.fanout : shared_fanout_pool();
     parallel_for(pool, ctx.to_solve.size(), solve_component);
@@ -423,7 +425,6 @@ void Pipeline::recombine(SolveContext& ctx) {
       out.stats.nodes += ctx.parts[c].stats.nodes;
       out.stats.memo_arena_solves += ctx.parts[c].stats.memo_arena_solves;
       out.stats.memo_hash_solves += ctx.parts[c].stats.memo_hash_solves;
-      out.stats.memo_parallel_solves += ctx.parts[c].stats.memo_parallel_solves;
       out.stats.memo_find_calls += ctx.parts[c].stats.memo_find_calls;
       out.stats.memo_probe_steps += ctx.parts[c].stats.memo_probe_steps;
       out.stats.memo_pruned += ctx.parts[c].stats.memo_pruned;

@@ -307,18 +307,11 @@ class BcdEngine {
     const Time cap = policy_.lead_cap();
     std::vector<Segment> raw;
 
-    // Present release classes of the band (each holds a set job).
-    std::vector<std::int32_t> present;
-    for (std::int32_t c = lo + 1; c <= hi; ++c) {
-      if (minpos_[c] <= k) present.push_back(c);
-    }
-    bool rest_nonempty = false;
-    for (const std::int32_t c : present) {
-      if (minpos_[c] < k) {
-        rest_nonempty = true;
-        break;
-      }
-    }
+    // A class is present when it holds a set job (minpos_[c] <= k). The
+    // canonical band has classes lo + 1 and hi present, and only k's own
+    // class can have k as its least position, so the set is more than {k}
+    // exactly when the band spans two classes or hi holds an earlier job.
+    const bool rest_nonempty = lo + 1 != hi || minpos_[hi] < k;
 
     if (!rest_nonempty) {
       // Base: the set is {k} alone. lead = min(t - r_k, cap): one unit
@@ -390,19 +383,24 @@ class BcdEngine {
       // Split branches: cut the band after a present class >= k's own, so
       // jobs released later form an independent right part. The left part
       // keeps k (and the set's least release: its lead carries over); the
-      // right part starts at m_r = rel[present[i + 1]], giving seam
-      // D + e_r with D = m_r - t_left - 1. The output's t coordinate is the
-      // RIGHT part's last slot, so the left choice collapses per lead pair:
-      // inside a left segment the seam is nondecreasing in the distance to
-      // m_r, so the latest admissible left slot is optimal.
-      for (std::size_t i = 0; i + 1 < present.size(); ++i) {
-        if (rel_[present[i]] < r_k) continue;
-        const std::uint32_t left = solve(k, lo, present[i]);
+      // right part starts at m_r = rel[next], the next present class,
+      // giving seam D + e_r with D = m_r - t_left - 1. The output's t
+      // coordinate is the RIGHT part's last slot, so the left choice
+      // collapses per lead pair: inside a left segment the seam is
+      // nondecreasing in the distance to m_r, so the latest admissible left
+      // slot is optimal. rel_ is strictly increasing, so the classes with
+      // release >= r_k are exactly those from pos_cls_[k] (present: it
+      // holds k) up: the scan walks [pos_cls_[k], hi] once and never
+      // touches the band below k's class.
+      for (std::int32_t cut = pos_cls_[k], next; cut < hi; cut = next) {
+        next = cut + 1;
+        while (minpos_[next] > k) ++next;  // stops at hi, which is present
+        const std::uint32_t left = solve(k, lo, cut);
         if (!overflow_.empty()) return id;
-        const std::uint32_t right = solve(k - 1, present[i], hi);
+        const std::uint32_t right = solve(k - 1, cut, hi);
         if (!overflow_.empty()) return id;
         if (left == kEmptyState || right == kEmptyState) continue;
-        const Time m_r = rel_[present[i + 1]];
+        const Time m_r = rel_[next];
 
         struct BestCut {
           bool valid = false;

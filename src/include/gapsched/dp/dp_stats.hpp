@@ -2,17 +2,12 @@
 // Tuning knobs and per-solve memo diagnostics of the Theorem 1/2 DP
 // execution layer. Split out of dp_common.hpp so result headers
 // (gap_dp.hpp / power_dp.hpp) can carry MemoStats without pulling in the
-// memo-table machinery, and so DpOptions can name a ThreadPool without a
-// heavyweight include.
+// memo-table machinery.
 
 #include <cstddef>
 #include <cstdint>
 
-namespace gapsched {
-
-class ThreadPool;
-
-namespace dp {
+namespace gapsched::dp {
 
 /// Memo storage strategy for one DP solve.
 enum class MemoLayout : std::uint8_t {
@@ -27,9 +22,11 @@ enum class MemoLayout : std::uint8_t {
   kArena,
 };
 
-/// Execution options of one Theorem 1/2 DP solve. The defaults reproduce
-/// the engine's production configuration; benches and tests override
-/// individual knobs to A/B layouts, pruning, and thread counts.
+/// Execution options of one Theorem 1/2 DP solve. The defaults are the
+/// engine's production configuration; benches and tests override the memo
+/// layout and pruning to A/B them. A solve always runs serially on the
+/// calling thread: parallelism lives one level up, across the components
+/// of a decomposition and across the requests of a batch.
 struct DpOptions {
   MemoLayout layout = MemoLayout::kAuto;
   /// Candidate-axis and occupancy-cap pruning (see dp_engine.hpp for the
@@ -39,14 +36,6 @@ struct DpOptions {
   /// allocate; ~21 bytes per entry. Above this kAuto / kArena fall back to
   /// the hash table.
   std::size_t arena_max_entries = std::size_t{1} << 21;
-  /// Worker pool for the intra-solve parallel top-level candidate scan.
-  /// nullptr (the default) keeps the solve fully serial. The answer is
-  /// bit-identical for every pool size — see the determinism note in
-  /// dp_engine.hpp.
-  ThreadPool* pool = nullptr;
-  /// Minimum state-box volume before the parallel scan is worth its task
-  /// overhead; solves below it stay serial even with a pool.
-  std::size_t parallel_min_box = std::size_t{1} << 15;
 };
 
 /// Per-solve memo diagnostics, surfaced through Gap/PowerDpResult and the
@@ -65,15 +54,6 @@ struct MemoStats {
   std::uint64_t probe_steps = 0;
   /// Candidate-axis branches skipped by the pruning rules.
   std::uint64_t pruned = 0;
-  /// True when the parallel top-level scan ran.
-  bool parallel = false;
 };
 
-/// Process-wide worker pool for intra-component parallel DP, created
-/// lazily on first use (hardware-concurrency threads). Distinct from the
-/// engine's batch/fanout pools so a DP running *on* one of those pools can
-/// fan its candidate scan out without self-deadlocking on wait_idle().
-ThreadPool& dp_pool();
-
-}  // namespace dp
-}  // namespace gapsched
+}  // namespace gapsched::dp

@@ -46,9 +46,9 @@ struct GapDpResult {
 /// limits dp::kMaxDpJobs / kMaxDpProcessors / kMaxThetaSize.
 GapDpResult solve_gap_dp(const Instance& inst);
 
-/// As above with explicit execution options (memo layout, pruning,
-/// parallel candidate-scan pool). Every option combination returns
-/// bit-identical answers; only speed and diagnostics differ.
+/// As above with explicit execution options (memo layout, pruning). Every
+/// option combination returns bit-identical answers; only speed and
+/// diagnostics differ.
 GapDpResult solve_gap_dp(const Instance& inst, const dp::DpOptions& opts);
 
 }  // namespace gapsched

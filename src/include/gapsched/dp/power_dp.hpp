@@ -43,9 +43,9 @@ struct PowerDpResult {
 /// kMaxDpProcessors / kMaxThetaSize.
 PowerDpResult solve_power_dp(const Instance& inst, double alpha);
 
-/// As above with explicit execution options (memo layout, pruning,
-/// parallel candidate-scan pool). Every option combination returns
-/// bit-identical answers; only speed and diagnostics differ.
+/// As above with explicit execution options (memo layout, pruning). Every
+/// option combination returns bit-identical answers; only speed and
+/// diagnostics differ.
 PowerDpResult solve_power_dp(const Instance& inst, double alpha,
                              const dp::DpOptions& opts);
 

@@ -174,7 +174,10 @@ struct SolveStats {
   /// memo / that fell back to the packed-key hash table.
   std::size_t memo_arena_solves = 0;
   std::size_t memo_hash_solves = 0;
-  /// Component solves whose top-level candidate scan ran on a thread pool.
+  /// Nothing sets this any more: DP solves are serial, so it reads 0 on
+  /// every fresh solve. Kept only because it is an io/json wire field that
+  /// an external reader (the perfbench trace) still parses; dropping it
+  /// changes the wire format.
   std::size_t memo_parallel_solves = 0;
   /// Memo lookups, hash probe-chain steps (0 for arena solves), and
   /// candidate branches cut by the dominance prunes.

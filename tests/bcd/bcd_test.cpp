@@ -2,9 +2,10 @@
 // (src/bcd): handcrafted optima for both objectives, randomized parity
 // against the subset-DP ground truth at brute-forceable sizes, the alias
 // contract with solve_baptiste, the shape-guard and budget-valve error
-// paths, and large-n smoke solves (n = 2000) with closed-form optima —
-// the sizes the exponential families cannot touch, kept fast enough for
-// tier1 precisely because the DP is polynomial.
+// paths, large-n smoke solves (n = 2000) with closed-form optima — the
+// sizes the exponential families cannot touch, kept fast enough for tier1
+// precisely because the DP is polynomial — and pinned work counters on
+// fixed poly_scale draws, where brute-force parity cannot reach.
 
 #include "gapsched/bcd/bcd.hpp"
 
@@ -17,6 +18,7 @@
 #include "gapsched/exact/power_brute_force.hpp"
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/oracle/oracle.hpp"
+#include "gapsched/scenarios/scenarios.hpp"
 #include "../support/test_seed.hpp"
 
 namespace gapsched {
@@ -250,6 +252,48 @@ TEST(Bcd, SolvesClusteredTwoThousandJobsWithClosedFormPower) {
   ASSERT_TRUE(p.error.empty()) << p.error;
   ASSERT_TRUE(p.feasible);
   EXPECT_NEAR(p.power, 2000.0 + kAlpha + 49.0 * kAlpha, 1e-6);
+}
+
+// ------------------------------------------------------ pinned counters --
+
+// Memoized states, kept frontier segments and the optimum on fixed
+// poly_scale draws. A change to the split scan or the frontier prune that
+// visits a different state set, or keeps a different frontier, moves these
+// numbers even when the optimum survives.
+struct PinnedBcdRun {
+  const char* scenario;
+  std::int64_t transitions;
+  std::size_t states;
+  std::size_t entries;
+};
+
+TEST(Bcd, PolyScaleGapWorkCountersArePinned) {
+  const PinnedBcdRun pins[] = {{"poly_scale:1200", 124, 1778, 3764},
+                               {"poly_scale:2000", 192, 2965, 6392}};
+  for (const PinnedBcdRun& pin : pins) {
+    SCOPED_TRACE(pin.scenario);
+    const auto inst = scenarios::make_scenario(pin.scenario, 7);
+    ASSERT_TRUE(inst.has_value());
+    const BcdGapResult r = solve_bcd_gap(*inst);
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(r.transitions, pin.transitions);
+    EXPECT_EQ(r.states, pin.states);
+    EXPECT_EQ(r.entries, pin.entries);
+    EXPECT_EQ(r.schedule.validate(*inst), "");
+  }
+}
+
+TEST(Bcd, PolyScalePowerWorkCountersArePinned) {
+  const auto inst = scenarios::make_scenario("poly_scale:1200", 7);
+  ASSERT_TRUE(inst.has_value());
+  const BcdPowerResult r = solve_bcd_power(*inst, kAlpha);
+  ASSERT_TRUE(r.error.empty()) << r.error;
+  ASSERT_TRUE(r.feasible);
+  EXPECT_DOUBLE_EQ(r.power, 1494.5);
+  EXPECT_EQ(r.states, 1778u);
+  EXPECT_EQ(r.entries, 5180u);
+  EXPECT_EQ(r.schedule.validate(*inst), "");
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Execution-layer parity: the DP's answer must be a pure function of the
-// instance, not of how the memo is laid out, which dominated branches were
-// pruned, or how many threads scanned the root candidates. Every config —
-// hash vs dense arena, pruning on/off, 1/2/8 worker threads — must return
-// bit-identical results (feasibility, optimum, schedule, reachable-state
-// count) on the whole scenario catalog. This is what licenses the engine
-// to pick layouts and thread counts opportunistically.
+// instance, not of how the memo is laid out or which dominated branches
+// were pruned. Every config — hash vs dense arena, pruning on/off — must
+// return bit-identical results (feasibility, optimum, schedule,
+// reachable-state count) on the whole scenario catalog. This is what
+// licenses the engine to pick layouts opportunistically.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "gapsched/dp/dp_common.hpp"
 #include "gapsched/dp/gap_dp.hpp"
 #include "gapsched/dp/power_dp.hpp"
-#include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "../support/test_seed.hpp"
 
@@ -98,29 +96,6 @@ TEST(DpParity, ArenaVsHashAcrossScenarioCatalog) {
   }
   // The parity sweep must actually have exercised the dense layout.
   EXPECT_GT(arena_solves, 0);
-}
-
-// The parallel root scan must be bit-identical at every thread count. The
-// merge folds chunk results in candidate order with strict <, reproducing
-// the serial first-improvement order exactly.
-TEST(DpParity, ParallelRootScanBitIdenticalAt1And2And8Threads) {
-  const std::vector<Instance> draws = catalog_draws(1);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    dp::DpOptions par_opts;
-    par_opts.pool = &pool;
-    par_opts.parallel_min_box = 0;  // force the parallel path on any size
-    for (const Instance& inst : draws) {
-      const std::string what = "threads=" + std::to_string(threads) +
-                               " n=" + std::to_string(inst.n()) +
-                               " p=" + std::to_string(inst.processors);
-      expect_gap_identical(solve_gap_dp(inst), solve_gap_dp(inst, par_opts),
-                           what + " gap");
-      expect_power_identical(solve_power_dp(inst, kAlpha),
-                             solve_power_dp(inst, kAlpha, par_opts),
-                             what + " power");
-    }
-  }
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 // ceiling, newly in scope for the 128-bit keys. For every draw the solver
 // must be a pure function of the instance across every execution config:
 //
-//   * auto layout (arena when the state box is dense), forced hash memo,
-//     and the parallel top-level candidate scan agree bit-identically on
-//     feasibility, optimum, schedule, and reachable-state count
-//     (pruning stays on in all three, so `states` is comparable),
+//   * auto layout (arena when the state box is dense) and forced hash
+//     memo agree bit-identically on feasibility, optimum, schedule, and
+//     reachable-state count (pruning stays on in both, so `states` is
+//     comparable),
 //   * the schedule survives the independent oracle with the same
 //     transition count,
 //   * the engine pipeline (decompose + compress + recombine) lands on the
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "gapsched/dp/dp_common.hpp"
@@ -28,7 +27,6 @@
 #include "gapsched/gen/generators.hpp"
 #include "gapsched/io/serialize.hpp"
 #include "gapsched/oracle/oracle.hpp"
-#include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/util/prng.hpp"
 #include "fuzz_support.hpp"
 
@@ -46,23 +44,13 @@ std::string check_dense_gap(const Instance& inst) {
   const GapDpResult tuned = solve_gap_dp(inst);
   const GapDpResult hashed =
       solve_gap_dp(inst, dp::DpOptions{.layout = dp::MemoLayout::kHash});
-  ThreadPool pool(2);
-  dp::DpOptions par_opts;
-  par_opts.pool = &pool;
-  par_opts.parallel_min_box = 0;
-  const GapDpResult par = solve_gap_dp(inst, par_opts);
-
-  for (const auto& [other, tag] :
-       {std::pair<const GapDpResult*, const char*>{&hashed, "hash"},
-        std::pair<const GapDpResult*, const char*>{&par, "parallel"}}) {
-    if (other->feasible != tuned.feasible) {
-      return std::string(tag) + " config flipped feasibility";
-    }
-    if (tuned.feasible && (other->transitions != tuned.transitions ||
-                           other->states != tuned.states ||
-                           !(other->schedule == tuned.schedule))) {
-      return std::string(tag) + " config diverged from the auto layout";
-    }
+  if (hashed.feasible != tuned.feasible) {
+    return "hash config flipped feasibility";
+  }
+  if (tuned.feasible && (hashed.transitions != tuned.transitions ||
+                         hashed.states != tuned.states ||
+                         !(hashed.schedule == tuned.schedule))) {
+    return "hash config diverged from the auto layout";
   }
   if (!tuned.feasible) return "";
 
