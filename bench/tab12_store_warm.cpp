@@ -13,23 +13,36 @@
 //   * warm costs byte-identical to the cold reference;
 //   * the warm pass actually hit the disk tier (> 0 disk hits, 0 rejects);
 //   * warm-restart speedup >= 2x (sanity floor; the committed baseline
-//     records the real figure, which should be well above 3x — a disk
-//     record costs one JSON parse + one linear oracle sweep, against an
+//     records the real figure — a disk record costs one store read, one
+//     JSON decode and one linear oracle sweep, against an
 //     exponential-window or polynomial-BCD dynamic program).
 //
-// Everything lands in BENCH_tab12.json: per-row cold/warm wall times and
-// speedups plus the store counters (spilled, disk_hits, disk_rejects,
-// file_bytes) — the machine-readable baseline committed under
-// bench/baselines/.
+// Each row's warm CacheLookup stage time is split into its parts: after
+// the warm pass the bench replays every request's disk path with the
+// public calls the pipeline makes (DiskStore::load, io::result_from_json,
+// oracle::check_result) and times each one.
+//
+// Everything lands in BENCH_tab12.json: the host, per-row cold/warm wall
+// times and speedups, the warm CacheLookup and its load/decode/audit split,
+// plus the store counters (spilled, disk_hits, disk_rejects) — the
+// machine-readable baseline committed under bench/baselines/.
 
 #include "bench_common.hpp"
 #include "json_report.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "gapsched/core/transforms.hpp"
 #include "gapsched/engine/engine.hpp"
+#include "gapsched/io/json.hpp"
+#include "gapsched/oracle/oracle.hpp"
+#include "gapsched/prep/prep.hpp"
 #include "gapsched/scenarios/scenarios.hpp"
 #include "gapsched/store/store.hpp"
 
@@ -51,16 +64,20 @@ struct SweepRow {
 /// Families chosen for ms-scale fresh solves: big mixed gap instances for
 /// the window DP, the long-horizon power stressor for the power DP, and
 /// 1200/2000-job chains for the polynomial BCD solver (the dominant rows;
-/// their dispatch cost is where a restart burns its time).
+/// their dispatch cost is where a restart burns its time). The last row
+/// sends the 2000-job chain through the prep pipeline, so its warm path
+/// also pays Decompose and Compress.
 constexpr SweepRow kSweep[] = {
     {"mega_mixed", "gap_dp", 4, true},
     {"power_longhaul", "power_dp", 4, true},
     {"poly_scale:1200", "bcd_poly_gap", 3, false},
     {"poly_scale:2000", "bcd_poly_gap", 2, false},
+    {"poly_scale:2000", "bcd_poly_gap", 2, true},
 };
 
 struct PassStats {
   std::vector<double> row_ms;     // per sweep row, summed over trials
+  std::vector<double> lookup_ms;  // CacheLookup stage, per row
   std::vector<double> costs;      // per request, in sweep order
   std::vector<bool> feasible;     // per request
   double total_ms = 0.0;
@@ -83,10 +100,14 @@ PassStats run_pass(const std::string& store_path,
   PassStats out;
   for (std::size_t r = 0; r < rows.size(); ++r) {
     double row_ms = 0.0;
+    double lookup_ms = 0.0;
     for (const engine::SolveRequest& req : rows[r]) {
       Stopwatch watch;
       const engine::SolveResult res = eng.solve(solvers[r], req);
       row_ms += watch.millis();
+      lookup_ms += res.stats.stages[static_cast<std::size_t>(
+                                        engine::PipelineStage::kCacheLookup)]
+                       .ms;
       if (!res.ok || !res.audit_error.empty()) {
         std::fprintf(stderr, "T12 refutation: %s on %s: %s%s\n", solvers[r],
                      kSweep[r].scenario, res.error.c_str(),
@@ -97,11 +118,75 @@ PassStats run_pass(const std::string& store_path,
       out.feasible.push_back(res.feasible);
     }
     out.row_ms.push_back(row_ms);
+    out.lookup_ms.push_back(lookup_ms);
     out.total_ms += row_ms;
   }
   eng.flush_store();  // make the pass durable before the engine goes away
   out.cache = eng.cache_stats();
   return out;
+}
+
+/// The instances the pipeline keys a request's disk records by: the
+/// canonical whole instance, or with prep on, each component's compressed
+/// image (cut threshold and cap as in engine/pipeline.cpp; every solver in
+/// the sweep is exact, so prep-on rows always decompose).
+std::vector<Instance> keyed_instances(const engine::SolveRequest& req) {
+  if (!req.params.decompose) {
+    return {prep::canonicalize(req.instance).instance};
+  }
+  const bool power = req.objective == engine::Objective::kPower;
+  const auto alpha_ceil = static_cast<Time>(std::ceil(req.params.alpha));
+  const auto n = static_cast<Time>(req.instance.n());
+  const Time threshold = power ? std::max(n, alpha_ceil) : n;
+  const Time cap = power ? alpha_ceil + 1 : 1;
+  std::vector<Instance> out;
+  for (const prep::Component& comp :
+       prep::decompose(req.instance, threshold).components) {
+    out.push_back(compress_dead_time_capped(comp.instance, cap).instance);
+  }
+  return out;
+}
+
+/// One row's disk path, replayed: store read, JSON decode and oracle
+/// re-audit, each summed over the row's records. Like the warm pass, it
+/// reads each record once: a key already `seen` was a memory hit there.
+struct DiskSplit {
+  int records = 0;
+  int refuted = 0;
+  double load_ms = 0.0;
+  double decode_ms = 0.0;
+  double audit_ms = 0.0;
+};
+
+DiskSplit replay_disk_path(store::DiskStore& disk,
+                           const engine::SolverInfo& info,
+                           const std::vector<engine::SolveRequest>& requests,
+                           std::set<std::string>* seen) {
+  DiskSplit split;
+  for (const engine::SolveRequest& req : requests) {
+    for (const Instance& inst : keyed_instances(req)) {
+      const engine::CacheKey key =
+          engine::make_cache_key(info, req.objective, req.params, inst);
+      if (!seen->insert(key.text).second) continue;
+      Stopwatch watch;
+      const std::optional<std::string> payload =
+          disk.load(key.digest, key.text);
+      split.load_ms += watch.millis();
+      if (!payload.has_value()) continue;
+      watch.reset();
+      const std::optional<engine::SolveResult> record =
+          io::result_from_json(*payload);
+      split.decode_ms += watch.millis();
+      if (!record.has_value()) continue;
+      watch.reset();
+      const std::string refuted = oracle::check_result(
+          req.objective, req.params, inst, *record, info.exact);
+      split.audit_ms += watch.millis();
+      ++split.records;
+      if (!refuted.empty()) ++split.refuted;
+    }
+  }
+  return split;
 }
 
 }  // namespace
@@ -150,9 +235,35 @@ int main(int, char** argv) {
   std::cout << "warm pass (restarted engine, same store) ...\n\n";
   const PassStats warm = run_pass(store_path, rows, solvers);
 
-  int failures = cold.refuted + warm.refuted;
+  std::string store_error;
+  const std::unique_ptr<store::DiskStore> disk =
+      store::DiskStore::open(store_path, {}, &store_error);
+  if (disk == nullptr) {
+    std::fprintf(stderr, "T12 FAIL: store did not reopen: %s\n",
+                 store_error.c_str());
+    return 1;
+  }
+  std::vector<DiskSplit> splits;
+  std::set<std::string> seen;
+  int replay_refuted = 0;
+  std::size_t replayed = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    splits.push_back(replay_disk_path(
+        *disk, probe.registry().find(solvers[r])->info(), rows[r], &seen));
+    replay_refuted += splits.back().refuted;
+    replayed += static_cast<std::size_t>(splits.back().records);
+  }
+
+  int failures = cold.refuted + warm.refuted + replay_refuted;
   if (failures > 0) {
     std::fprintf(stderr, "T12 FAIL: %d oracle refutation(s)\n", failures);
+  }
+  if (replayed != warm.cache.disk_hits) {
+    std::fprintf(stderr,
+                 "T12 FAIL: the replay read %zu disk record(s), the warm "
+                 "pass %zu\n",
+                 replayed, warm.cache.disk_hits);
+    ++failures;
   }
   for (std::size_t i = 0; i < cold.costs.size(); ++i) {
     if (cold.costs[i] != warm.costs[i] ||
@@ -185,32 +296,51 @@ int main(int, char** argv) {
     ++failures;
   }
 
-  Table table(
-      {"scenario", "solver", "trials", "cold_ms", "warm_ms", "speedup"});
+  Table table({"scenario", "solver", "prep", "trials", "cold_ms", "warm_ms",
+               "speedup", "lookup_ms", "load_ms", "decode_ms", "audit_ms"});
   bench::Json json_rows = bench::Json::array();
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const double row_speedup =
         warm.row_ms[r] > 0.0 ? cold.row_ms[r] / warm.row_ms[r] : 0.0;
+    const DiskSplit& split = splits[r];
     table.row()
         .add(kSweep[r].scenario)
         .add(kSweep[r].solver)
+        .add(kSweep[r].decompose ? "on" : "off")
         .add(kSweep[r].trials)
         .add(cold.row_ms[r], 2)
         .add(warm.row_ms[r], 2)
-        .add(row_speedup, 2);
-    json_rows.push(bench::Json::object()
-                       .set("scenario", kSweep[r].scenario)
-                       .set("solver", kSweep[r].solver)
-                       .set("trials", kSweep[r].trials)
-                       .set("cold_ms", cold.row_ms[r])
-                       .set("warm_ms", warm.row_ms[r])
-                       .set("speedup", row_speedup));
+        .add(row_speedup, 2)
+        .add(warm.lookup_ms[r], 3)
+        .add(split.load_ms, 3)
+        .add(split.decode_ms, 3)
+        .add(split.audit_ms, 3);
+    json_rows.push(
+        bench::Json::object()
+            .set("scenario", kSweep[r].scenario)
+            .set("solver", kSweep[r].solver)
+            .set("prep", kSweep[r].decompose)
+            .set("trials", kSweep[r].trials)
+            .set("cold_ms", cold.row_ms[r])
+            .set("warm_ms", warm.row_ms[r])
+            .set("speedup", row_speedup)
+            .set("warm_cache_lookup_ms", warm.lookup_ms[r])
+            .set("disk", bench::Json::object()
+                             .set("records", split.records)
+                             .set("load_ms", split.load_ms)
+                             .set("decode_ms", split.decode_ms)
+                             .set("audit_ms", split.audit_ms)));
   }
   bench::emit(argv[0], table);
 
   bench::Json root =
       bench::Json::object()
           .set("experiment", "tab12_store_warm")
+          .set("host",
+               bench::Json::object()
+                   .set("cpus", static_cast<std::int64_t>(
+                                    std::thread::hardware_concurrency()))
+                   .set("compiler", "g++ " __VERSION__))
           .set("seed", bench::kSeed)
           .set("requests",
                static_cast<std::int64_t>(cold.costs.size()))

@@ -31,15 +31,20 @@ void TimeSet::normalize() {
   std::erase_if(intervals_, [](const Interval& iv) { return iv.empty(); });
   std::sort(intervals_.begin(), intervals_.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  for (const Interval& iv : intervals_) {
-    if (!merged.empty() && iv.lo <= merged.back().hi + 1) {
-      merged.back().hi = std::max(merged.back().hi, iv.hi);
+  // Merge in place: `kept` intervals are final, the rest still to scan.
+  // An interval joins the last kept one when it overlaps or touches it
+  // (lo <= hi + 1, written so that hi = INT64_MAX cannot overflow).
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < intervals_.size(); ++i) {
+    const Interval iv = intervals_[i];
+    Interval* last = kept > 0 ? &intervals_[kept - 1] : nullptr;
+    if (last != nullptr && (iv.lo <= last->hi || iv.lo - 1 == last->hi)) {
+      last->hi = std::max(last->hi, iv.hi);
     } else {
-      merged.push_back(iv);
+      intervals_[kept++] = iv;
     }
   }
-  intervals_ = std::move(merged);
+  intervals_.resize(kept);
 }
 
 std::int64_t TimeSet::size() const {
@@ -117,7 +122,7 @@ TimeSet TimeSet::shifted(Time delta) const {
     iv.lo += delta;
     iv.hi += delta;
   }
-  return TimeSet(std::move(out));
+  return TimeSet(Normalized{}, std::move(out));
 }
 
 std::vector<Time> TimeSet::to_vector() const {

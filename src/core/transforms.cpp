@@ -8,24 +8,60 @@ namespace gapsched {
 namespace {
 
 /// Union of all allowed times: its maximal intervals are the live regions.
+/// One normalization of every job interval, O(N log N) in the interval
+/// count.
 TimeSet live_regions(const Instance& inst) {
-  TimeSet live;
-  for (const Job& j : inst.jobs) live = live.unite(j.allowed);
-  return live;
+  std::vector<Interval> all;
+  for (const Job& j : inst.jobs) {
+    all.insert(all.end(), j.allowed.intervals().begin(),
+               j.allowed.intervals().end());
+  }
+  return TimeSet(std::move(all));
 }
 
-/// Rewrites every job's intervals through `map` (a per-live-interval time
-/// map that preserves interval lengths, so only each interval's lo needs
-/// mapping).
-template <typename MapLo>
-std::vector<Job> map_jobs(const Instance& inst, MapLo&& map_lo) {
+/// Maps t, a time inside one of the sorted disjoint intervals `from`, to
+/// the same offset in the matching interval of `to` (binary search).
+Time map_time(const std::vector<Interval>& from,
+              const std::vector<Interval>& to, Time t) {
+  const auto it = std::lower_bound(
+      from.begin(), from.end(), t,
+      [](const Interval& iv, Time v) { return iv.hi < v; });
+  if (it == from.end() || it->lo > t) {
+    assert(false && "time is not in any allowed interval");
+    return t;
+  }
+  return to[static_cast<std::size_t>(it - from.begin())].lo + (t - it->lo);
+}
+
+/// Lays the live intervals out left to right from `origin`, an interior
+/// dead run of length d taking run(d) units; returns each live interval's
+/// image, index-aligned with `live`.
+template <typename Run>
+std::vector<Interval> lay_out(const std::vector<Interval>& live, Time origin,
+                              Run&& run) {
+  std::vector<Interval> out;
+  out.reserve(live.size());
+  Time cursor = origin;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (i > 0) cursor += run(live[i].lo - live[i - 1].hi - 1);
+    out.push_back({cursor, cursor + live[i].length() - 1});
+    cursor += live[i].length();
+  }
+  return out;
+}
+
+/// Rewrites every job through the live-interval map `from` -> `to`, which
+/// preserves interval lengths, so only each interval's lo needs mapping.
+std::vector<Job> map_jobs(const Instance& inst,
+                          const std::vector<Interval>& from,
+                          const std::vector<Interval>& to) {
   std::vector<Job> out;
   out.reserve(inst.n());
   for (const Job& j : inst.jobs) {
     std::vector<Interval> mapped;
     mapped.reserve(j.allowed.interval_count());
     for (const Interval& iv : j.allowed.intervals()) {
-      const Time lo = map_lo(iv.lo);
+      const Time lo = map_time(from, to, iv.lo);
       mapped.push_back({lo, lo + iv.length() - 1});
     }
     out.push_back(Job{TimeSet(std::move(mapped))});
@@ -36,26 +72,11 @@ std::vector<Job> map_jobs(const Instance& inst, MapLo&& map_lo) {
 }  // namespace
 
 Time CompressedInstance::to_original(Time compressed) const {
-  // Find the compressed interval containing the time.
-  for (std::size_t i = 0; i < compressed_intervals.size(); ++i) {
-    if (compressed_intervals[i].contains(compressed)) {
-      return original_intervals[i].lo +
-             (compressed - compressed_intervals[i].lo);
-    }
-  }
-  assert(false && "time is not in any allowed interval");
-  return compressed;
+  return map_time(compressed_intervals, original_intervals, compressed);
 }
 
 Time CompressedInstance::to_compressed(Time original) const {
-  for (std::size_t i = 0; i < original_intervals.size(); ++i) {
-    if (original_intervals[i].contains(original)) {
-      return compressed_intervals[i].lo +
-             (original - original_intervals[i].lo);
-    }
-  }
-  assert(false && "time is not in any allowed interval");
-  return original;
+  return map_time(original_intervals, compressed_intervals, original);
 }
 
 Time CompressedInstance::dead_time_removed() const {
@@ -77,27 +98,13 @@ CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap) {
   out.instance.processors = inst.processors;
   if (inst.n() == 0) return out;
 
-  const TimeSet live = live_regions(inst);
-
-  // Lay live intervals out left to right, truncating each interior dead run
-  // of length d to min(d, cap) units.
-  Time cursor = 0;
-  Time prev_hi = 0;
-  bool first = true;
-  for (const Interval& iv : live.intervals()) {
-    if (!first) {
-      cursor += std::min<Time>(iv.lo - prev_hi - 1, cap);
-    }
-    out.original_intervals.push_back(iv);
-    out.compressed_intervals.push_back({cursor, cursor + iv.length() - 1});
-    out.anchors.push_back({cursor, iv.lo});
-    cursor += iv.length();
-    prev_hi = iv.hi;
-    first = false;
-  }
-
+  // Each interior dead run of length d shrinks to min(d, cap) units.
+  out.original_intervals = live_regions(inst).intervals();
+  out.compressed_intervals = lay_out(out.original_intervals, 0, [&](Time d) {
+    return std::min(d, cap);
+  });
   out.instance.jobs =
-      map_jobs(inst, [&](Time lo) { return out.to_compressed(lo); });
+      map_jobs(inst, out.original_intervals, out.compressed_intervals);
   return out;
 }
 
@@ -107,36 +114,13 @@ Instance stretch_dead_time(const Instance& inst, Time k, Time min_run) {
   out.processors = inst.processors;
   if (inst.n() == 0) return out;
 
+  // The origin is preserved, and each interior dead run of length
+  // d >= min_run grows to k * d.
   const TimeSet live = live_regions(inst);
-
-  // New lo of each live interval: the origin is preserved, and each
-  // interior dead run of length d >= min_run grows to k * d.
-  std::vector<Time> new_lo;
-  new_lo.reserve(live.intervals().size());
-  Time cursor = live.min();
-  Time prev_hi = 0;
-  bool first = true;
-  for (const Interval& iv : live.intervals()) {
-    if (!first) {
-      const Time dead = iv.lo - prev_hi - 1;
-      cursor += dead >= min_run ? dead * k : dead;
-    }
-    new_lo.push_back(cursor);
-    cursor += iv.length();
-    prev_hi = iv.hi;
-    first = false;
-  }
-
-  const auto map_lo = [&](Time lo) {
-    for (std::size_t i = 0; i < live.intervals().size(); ++i) {
-      if (live.intervals()[i].contains(lo)) {
-        return new_lo[i] + (lo - live.intervals()[i].lo);
-      }
-    }
-    assert(false && "time is not in any allowed interval");
-    return lo;
-  };
-  out.jobs = map_jobs(inst, map_lo);
+  out.jobs = map_jobs(inst, live.intervals(),
+                      lay_out(live.intervals(), live.min(), [&](Time d) {
+                        return d >= min_run ? d * k : d;
+                      }));
   return out;
 }
 

@@ -163,11 +163,9 @@ std::shared_ptr<const SolveResult> disk_load(SolveContext& ctx,
   if (cand == nullptr) return nullptr;
   bool admit = cand->ok && cand->feasible && cand->error.empty();
   if (admit) {
-    SolveRequest sub;
-    sub.instance = canonical;
-    sub.objective = ctx.request.objective;
-    sub.params = ctx.request.params;
-    admit = oracle::check_result(sub, *cand, ctx.solver.info().exact).empty();
+    admit = oracle::check_result(ctx.request.objective, ctx.request.params,
+                                 canonical, *cand, ctx.solver.info().exact)
+                .empty();
   }
   if (!admit) {
     ctx.env.cache->reject_disk(key);

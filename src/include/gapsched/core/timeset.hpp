@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 namespace gapsched {
@@ -74,7 +75,8 @@ class TimeSet {
   TimeSet subtract(const TimeSet& other) const;
   /// Set union.
   TimeSet unite(const TimeSet& other) const;
-  /// The whole set shifted by delta.
+  /// The whole set shifted by delta (linear: a shift keeps the order and
+  /// the gaps, so the result needs no re-normalization).
   TimeSet shifted(Time delta) const;
 
   /// Enumerates every time in the set in increasing order. Only sensible for
@@ -84,6 +86,10 @@ class TimeSet {
   bool operator==(const TimeSet&) const = default;
 
  private:
+  struct Normalized {};
+  /// Adopts intervals that are already sorted, non-adjacent and non-empty.
+  TimeSet(Normalized, std::vector<Interval> intervals)
+      : intervals_(std::move(intervals)) {}
   void normalize();
   std::vector<Interval> intervals_;
 };

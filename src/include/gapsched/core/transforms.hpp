@@ -11,18 +11,18 @@ namespace gapsched {
 /// time map.
 struct CompressedInstance {
   Instance instance;
-  /// Maps a compressed time back to the original time.
+  /// Maps a compressed time back to the original time. O(log L) for L live
+  /// intervals (binary search).
   Time to_original(Time compressed) const;
-  /// Maps an original allowed time to its compressed time.
+  /// Maps an original allowed time to its compressed time. O(log L).
   Time to_compressed(Time original) const;
   /// Total dead time units removed by the transform (0 when nothing was
   /// truncated, i.e. the instance was already in compressed form).
   Time dead_time_removed() const;
 
-  /// Sorted pairs (compressed interval start, original interval start) for
-  /// each maximal allowed-union interval; dead runs sit between them with
-  /// length min(original run, cap) in compressed coordinates.
-  std::vector<std::pair<Time, Time>> anchors;
+  /// The maximal allowed-union (live) intervals in both coordinates,
+  /// sorted and index-aligned; dead runs sit between them with length
+  /// min(original run, cap) in compressed coordinates.
   std::vector<Interval> compressed_intervals;
   std::vector<Interval> original_intervals;
 };
@@ -50,6 +50,9 @@ CompressedInstance compress_dead_time(const Instance& inst);
 /// gap objective; cap = ceil(alpha) - 1 is genuinely unsound (a gap of
 /// exactly ceil(alpha) compresses below alpha and its bridge term shrinks —
 /// the fuzz harness pins this).
+///
+/// Cost: O(N log N) for N job intervals. The live union is one
+/// normalization of all of them, and each interval maps by binary search.
 CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap);
 
 /// Inverse-direction transform for metamorphic tests and the
@@ -59,7 +62,7 @@ CompressedInstance compress_dead_time_capped(const Instance& inst, Time cap);
 /// The gap objective is always invariant under this map, and the power
 /// objective is invariant whenever min_run > alpha (dilated gaps stay on
 /// the min(gap, alpha) plateau) — the exact inverse statement of the
-/// capped-compression rule above.
+/// capped-compression rule above. Same O(N log N) cost.
 Instance stretch_dead_time(const Instance& inst, Time k, Time min_run);
 
 }  // namespace gapsched

@@ -18,6 +18,12 @@
 // unknown fields are ignored. Failures return nullopt with *error set.
 // Non-finite doubles degrade to null on write, matching
 // bench/json_report.hpp.
+//
+// A reader builds no tree: it walks the text once, checking the syntax of
+// every byte (unknown fields included) while it fills the struct, so its
+// cost is linear in the document. A syntax error anywhere wins over a
+// field error, and when several fields are bad the first in the table is
+// the one named.
 
 #include <cstdint>
 #include <optional>
@@ -31,7 +37,7 @@
 
 namespace gapsched::io {
 
-/// Deepest accepted nesting of any document on the wire. The parser reads
+/// Deepest accepted nesting of any document on the wire. The reader takes
 /// untrusted socket bytes (serve/protocol.hpp), so recursion depth is a
 /// resource limit, not a style choice: a document nested deeper than this
 /// is rejected with a clean parse error instead of recursing toward a

@@ -81,5 +81,11 @@ double min_power(const ScheduleAudit& audit, double alpha);
 /// Returns "" when the claim survives, else a diagnostic.
 std::string check_result(const engine::SolveRequest& request,
                          const engine::SolveResult& result, bool exact);
+/// The same verdict with the request's parts passed by reference, so a
+/// caller holding them apart (the disk-load audit) copies no instance.
+std::string check_result(engine::Objective objective,
+                         const engine::SolveParams& params,
+                         const Instance& instance,
+                         const engine::SolveResult& result, bool exact);
 
 }  // namespace gapsched::oracle

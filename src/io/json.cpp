@@ -1,14 +1,15 @@
 #include "gapsched/io/json.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <list>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -57,255 +58,276 @@ void append_number(std::string& out, N value) {
 }
 
 // --------------------------------------------------------------- parsing --
+// Reading builds no tree: one pass over the text checks the syntax and
+// reads the fields together. Every byte is checked, including members the
+// table does not know and values of the wrong type, which are checked as
+// they are stepped over; so a syntax error anywhere still wins over a
+// field error, and each error names the byte offset a check-first reader
+// would name.
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::int64_t integer = 0;
-  bool is_integer = false;
-  std::string string;
-  std::vector<JsonValue> elements;
-  std::vector<std::pair<std::string, JsonValue>> members;
+/// '+', '-', '.', the digits, 'e' and 'E': the characters of a number.
+bool is_number_char(char c) {
+  constexpr std::uint64_t kSet = [] {
+    std::uint64_t set = 0;
+    for (char n : std::string_view("0123456789.eE+-")) set |= 1ull << (n - '+');
+    return set;
+  }();
+  const unsigned i = static_cast<unsigned char>(c) - unsigned{'+'};
+  return i < 64 && ((kSet >> i) & 1) != 0;
+}
 
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+/// A number token's value by std::from_chars, or by strtod whenever
+/// from_chars stops short or fails (so 1e99999 still reads as inf);
+/// nullopt when strtod does not read the whole token either.
+std::optional<double> to_double(std::string_view token) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  if (const auto [stop, ec] = std::from_chars(token.data(), end, value);
+      ec == std::errc() && stop == end) {
+    return value;
   }
-};
+  const std::string copy(token);
+  char* tail = nullptr;
+  value = std::strtod(copy.c_str(), &tail);  // ERANGE gives inf or 0: kept
+  if (tail != copy.c_str() + copy.size()) return std::nullopt;
+  return value;
+}
 
-/// Minimal recursive-descent parser for standard JSON (no comments, no
-/// trailing commas). Depth-limited so adversarial input cannot blow the
-/// stack.
-class Parser {
+/// The text of a checked string (between its quotes) with escapes
+/// resolved. The engine documents are ASCII: a \u escape above it degrades
+/// to '?'.
+std::string unescape(std::string_view body) {
+  constexpr std::string_view kControl = "n\nt\tr\rb\bf\f";
+  std::string out;
+  out.reserve(body.size());
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    char c = body[i];
+    if (c == '\\') {
+      c = body[++i];  // '"', '\\' and '/' stand for themselves
+      if (c == 'u') {
+        unsigned code = 0;
+        std::from_chars(body.data() + i + 1, body.data() + i + 5, code, 16);
+        c = code < 0x80 ? static_cast<char>(code) : '?';
+        i += 4;
+      } else if (const std::size_t k = kControl.find(c); k != kControl.npos) {
+        c = kControl[k + 1];
+      }
+    }
+    out += c;
+  }
+  return out;
+}
+
+/// A read position in a document, and its syntax checks: standard JSON (no
+/// comments, no trailing commas), nested at most kMaxParseDepth deep, no
+/// key twice in one object, nothing after the value. The first syntax
+/// error sticks (broken()) and names its byte offset. The typed reads
+/// (boolean, number, ...) return nullopt or false both on a syntax error
+/// and on a value of another type; broken() tells the two apart.
+class Reader {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Reader(std::string_view text) : text_(text) {}
 
-  std::optional<JsonValue> parse(std::string* error) {
-    JsonValue v;
-    if (!value(v, 0)) {
-      if (error != nullptr) *error = error_;
+  /// Where the reader stands; reset() returns there to step over a value
+  /// again.
+  struct Mark {
+    std::size_t pos, depth, keys;
+  };
+  Mark mark() const { return {pos_, depth_, keys_.size()}; }
+  void reset(const Mark& m) {
+    pos_ = m.pos;
+    depth_ = m.depth;
+    keys_.resize(m.keys);
+  }
+
+  bool broken() const { return !error_.empty(); }
+  const std::string& error() const { return error_; }
+
+  /// The next non-blank character; '\0' at the end of the text.
+  char peek() {
+    for (; pos_ < text_.size(); ++pos_) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return c;
+    }
+    return '\0';
+  }
+
+  /// Checks that nothing but blanks follows the document.
+  bool finish() {
+    peek();
+    return pos_ == text_.size() || fail("trailing characters after document");
+  }
+
+  /// Checks and steps over one value.
+  bool value() {
+    // depth_ counts the containers entered, so the value sits at nesting
+    // level depth_ + 1: reject exactly the documents nested deeper than
+    // kMaxParseDepth.
+    if (depth_ >= kMaxParseDepth) return fail("document nested too deeply");
+    const char c = peek();
+    if (pos_ == text_.size()) return fail("unexpected end of document");
+    if (c == '{') return object([this](std::string_view) { return value(); });
+    if (c == '[') return array([this] { return value(); });
+    if (c == '"') return string_body(nullptr, nullptr);
+    if (is_number_char(c)) return number().has_value();
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (c == word[0]) return literal(word);
+    }
+    return fail("expected a value");
+  }
+
+  /// Steps through the object at the cursor, calling member(key) with the
+  /// reader on each member's value. member steps over the value, or
+  /// returns false to stop the walk (the walk then returns false).
+  template <class F>
+  bool object(F&& member) {
+    ++pos_;  // '{'
+    if (eat('}')) return true;
+    ++depth_;
+    const std::size_t first_key = keys_.size();
+    do {
+      if (peek() != '"') return fail("expected an object key");
+      std::string_view key;
+      bool escaped = false;
+      if (!string_body(&key, &escaped)) return false;
+      if (escaped) key = unescaped_.emplace_back(unescape(key));
+      // Duplicate keys make a document ambiguous (which value wins depends
+      // on the reader); the wire format rejects them outright so mutated
+      // or hand-built input can never smuggle a second "cost" past the
+      // first.
+      if (std::find(keys_.begin() + first_key, keys_.end(), key) !=
+          keys_.end()) {
+        return fail("duplicate object key '" + std::string(key) + "'");
+      }
+      keys_.push_back(key);
+      if (!eat(':')) return fail("expected ':'");
+      if (!member(key)) return false;
+    } while (eat(','));
+    --depth_;
+    keys_.resize(first_key);
+    return eat('}') || fail("expected ',' or '}'");
+  }
+
+  /// Steps through the array at the cursor, calling element() on each
+  /// element, as object() does.
+  template <class F>
+  bool array(F&& element) {
+    ++pos_;  // '['
+    if (eat(']')) return true;
+    ++depth_;
+    do {
+      if (!element()) return false;
+    } while (eat(','));
+    --depth_;
+    return eat(']') || fail("expected ',' or ']'");
+  }
+
+  std::optional<bool> boolean() {
+    const char c = peek();
+    if ((c != 't' && c != 'f') || !literal(c == 't' ? "true" : "false")) {
       return std::nullopt;
     }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      if (error != nullptr) *error = at("trailing characters after document");
-      return std::nullopt;
-    }
-    return v;
+    return c == 't';
+  }
+
+  /// A token strtod reads whole (an integral one always is); any other
+  /// run of number characters is malformed.
+  std::optional<double> number() {
+    if (!is_number_char(peek())) return std::nullopt;
+    const std::optional<double> value = to_double(token());
+    if (!value.has_value()) fail("malformed number");
+    return value;
+  }
+
+  /// An integral token (an optional '-', then digits) that fits int64:
+  /// what from_chars reads. Where it stops short of the token's end or
+  /// fails, strtoll's rule says "no integer" too.
+  std::optional<std::int64_t> integer() {
+    const std::size_t start = (peek(), pos_);
+    std::int64_t value = 0;
+    const char* first = text_.data() + start;
+    const auto [stop, ec] =
+        std::from_chars(first, text_.data() + text_.size(), value);
+    pos_ += static_cast<std::size_t>(stop - first);
+    const bool ended = pos_ == text_.size() || !is_number_char(text_[pos_]);
+    if (ec == std::errc() && ended) return value;
+    pos_ = start;  // check the token again as a number
+    number();
+    return std::nullopt;
+  }
+
+  bool string(std::string* out) {
+    std::string_view body;
+    bool escaped = false;
+    if (peek() != '"' || !string_body(&body, &escaped)) return false;
+    *out = escaped ? unescape(body) : std::string(body);
+    return true;
   }
 
  private:
-
-  std::string at(std::string msg) {
-    return msg + " (at byte " + std::to_string(pos_) + ")";
-  }
-
   bool fail(std::string msg) {
-    if (error_.empty()) error_ = at(std::move(msg));
+    if (error_.empty()) {
+      error_ = std::move(msg) + " (at byte " + std::to_string(pos_) + ")";
+    }
     return false;
   }
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
+  bool eat(char c) {
+    if (peek() != c) return false;
+    ++pos_;
+    return true;
   }
 
   bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
+    if (text_.substr(pos_, word.size()) != word) return fail("bad literal");
     pos_ += word.size();
     return true;
   }
 
-  bool value(JsonValue& out, int depth) {
-    // depth counts nesting levels already entered, so the value being
-    // parsed sits at nesting level depth + 1: reject exactly the
-    // documents nested deeper than kMaxParseDepth.
-    if (depth >= kMaxParseDepth) return fail("document nested too deeply");
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("unexpected end of document");
-    const char c = text_[pos_];
-    if (c == '{') return object(out, depth);
-    if (c == '[') return array(out, depth);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.string);
-    }
-    if (c == 't') {
-      if (!literal("true")) return fail("bad literal");
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return true;
-    }
-    if (c == 'f') {
-      if (!literal("false")) return fail("bad literal");
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return true;
-    }
-    if (c == 'n') {
-      if (!literal("null")) return fail("bad literal");
-      out.kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    return number(out);
-  }
-
-  bool number(JsonValue& out) {
+  /// The run of number characters at the cursor.
+  std::string_view token() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) return fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return fail("malformed number");
-    if (integral) {
-      errno = 0;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        out.integer = v;
-        out.is_integer = true;
-      }
-    }
-    return true;
+    while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
+    return text_.substr(start, pos_ - start);
   }
 
-  bool string(std::string& out) {
-    ++pos_;  // opening quote
-    out.clear();
+  /// Checks the string at pos_; *body, when asked, gets its text between
+  /// the quotes, and *escaped whether it has escapes.
+  bool string_body(std::string_view* body, bool* escaped) {
+    const std::size_t start = ++pos_;
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
+      if (c == '"') {
+        if (body != nullptr) *body = text_.substr(start, pos_ - 1 - start);
+        return true;
       }
+      if (c != '\\') continue;
+      if (escaped != nullptr) *escaped = true;
       if (pos_ >= text_.size()) break;
       const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return fail("bad \\u escape");
-            }
+      if (esc == 'u') {
+        if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+        for (int i = 0; i < 4; ++i) {
+          if (!std::isxdigit(static_cast<unsigned char>(text_[pos_++]))) {
+            return fail("bad \\u escape");
           }
-          // The engine documents are ASCII; anything else degrades to '?'.
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
         }
-        default:
-          return fail("unknown escape");
+      } else if (std::string_view("\"\\/ntrbf").find(esc) ==
+                 std::string_view::npos) {
+        return fail("unknown escape");
       }
     }
     return fail("unterminated string");
   }
 
-  bool object(JsonValue& out, int depth) {
-    ++pos_;  // '{'
-    out.kind = JsonValue::Kind::kObject;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail("expected an object key");
-      }
-      std::string key;
-      if (!string(key)) return false;
-      // Duplicate keys make a document ambiguous (which value wins depends
-      // on the reader); the wire format rejects them outright so mutated
-      // or hand-built input can never smuggle a second "cost" past the
-      // first.
-      if (out.find(key) != nullptr) {
-        return fail("duplicate object key '" + key + "'");
-      }
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      JsonValue member;
-      if (!value(member, depth + 1)) return false;
-      out.members.emplace_back(std::move(key), std::move(member));
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(JsonValue& out, int depth) {
-    ++pos_;  // '['
-    out.kind = JsonValue::Kind::kArray;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      JsonValue element;
-      if (!value(element, depth + 1)) return false;
-      out.elements.push_back(std::move(element));
-      skip_ws();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   std::string error_;
+  /// The keys of every object being walked, innermost last.
+  std::vector<std::string_view> keys_;
+  /// Storage for the keys that had escapes.
+  std::list<std::string> unescaped_;
 };
 
 // ------------------------------------------------------------ field tables --
@@ -361,11 +383,11 @@ inline constexpr int kTable = 0;  // every wire struct specializes this
 template <class Kind = Auto, class M>
 void write_value(std::string& out, const M& value);
 template <class Kind = Auto, class M>
-bool read_value(const JsonValue& json, M* value, ReadError& err);
+bool read_value(Reader& in, M* value, ReadError& err);
 template <bool kOmitDefaults = false, class T>
 void write_fields(std::string& out, const T& object, bool* first);
 template <class T>
-bool read_fields(const JsonValue& json, T* object, ReadError& err);
+bool read_fields(Reader& in, T* object, ReadError& err);
 
 void write_key(std::string& out, std::string_view key, bool* first) {
   if (!*first) out += ',';
@@ -375,28 +397,32 @@ void write_key(std::string& out, std::string_view key, bool* first) {
   out += "\":";
 }
 
-/// Reads member `key` of `object` into *value; a missing key keeps it.
-template <class Kind = Auto, class M>
-bool read_key(const JsonValue& object, std::string_view key, M* value,
-              ReadError& err) {
-  const JsonValue* json = object.find(key);
-  if (json == nullptr || read_value<Kind>(*json, value, err)) return true;
-  return err.within(key);
+/// Steps `in` onto the value of member `key` of the object at the cursor,
+/// if it has one. Only for documents already read whole: it stops
+/// mid-object.
+bool enter(Reader& in, std::string_view key) {
+  bool found = false;
+  if (in.peek() != '{') return false;
+  in.object([&](std::string_view k) {
+    found = k == key;
+    return !found && in.value();
+  });
+  return found;
 }
 
 // ------------------------------------------------------------- converters --
 // The few members whose wire shape is not a plain kind: each converter has
-// write(out, value) and read(json, &value, err).
+// write(out, value) and read(in, &value, err).
 
 /// engine::Objective by name; an empty name keeps the default.
 struct ObjectiveName {
   static void write(std::string& out, engine::Objective objective) {
     append_escaped(out, engine::to_string(objective));
   }
-  static bool read(const JsonValue& json, engine::Objective* objective,
+  static bool read(Reader& in, engine::Objective* objective,
                    ReadError& err) {
     std::string name;
-    if (!read_value(json, &name, err)) return false;
+    if (!read_value(in, &name, err)) return false;
     if (name.empty()) return true;
     const auto parsed = engine::objective_from_string(name);
     if (!parsed.has_value()) {
@@ -412,10 +438,9 @@ struct NonNegative {
   static void write(std::string& out, std::int64_t value) {
     append_number(out, value);
   }
-  static bool read(const JsonValue& json, std::int64_t* value,
-                   ReadError& err) {
+  static bool read(Reader& in, std::int64_t* value, ReadError& err) {
     std::int64_t v = 0;
-    if (!read_value(json, &v, err)) return false;
+    if (!read_value(in, &v, err)) return false;
     if (v < 0) return err.fail("expected a non-negative integer");
     *value = v;
     return true;
@@ -440,30 +465,28 @@ struct Jobs {
     }
     out += ']';
   }
-  static bool read(const JsonValue& json, std::vector<Job>* jobs,
-                   ReadError& err) {
-    if (json.kind != JsonValue::Kind::kArray) {
-      return err.fail("expected an array of jobs");
-    }
+  static bool read(Reader& in, std::vector<Job>* jobs, ReadError& err) {
+    if (in.peek() != '[') return err.fail("expected an array of jobs");
     jobs->clear();
-    jobs->reserve(json.elements.size());
-    for (const JsonValue& job : json.elements) {
-      if (job.kind != JsonValue::Kind::kArray) {
+    return in.array([&] {
+      if (in.peek() != '[') {
         return err.fail("each job must be an array of [lo, hi] intervals");
       }
       std::vector<Interval> intervals;
-      intervals.reserve(job.elements.size());
-      for (const JsonValue& iv : job.elements) {
-        if (iv.kind != JsonValue::Kind::kArray || iv.elements.size() != 2 ||
-            !iv.elements[0].is_integer || !iv.elements[1].is_integer) {
+      const bool read = in.array([&] {
+        std::optional<Time> pair[2];
+        std::size_t n = 0;
+        if (in.peek() != '[' ||
+            !in.array([&] { return n < 2 && (pair[n++] = in.integer()); }) ||
+            n != 2) {
           return err.fail("each interval must be an integer pair [lo, hi]");
         }
-        intervals.push_back(
-            Interval{iv.elements[0].integer, iv.elements[1].integer});
-      }
-      jobs->push_back(Job{TimeSet(std::move(intervals))});
-    }
-    return true;
+        intervals.push_back(Interval{*pair[0], *pair[1]});
+        return true;
+      });
+      if (read) jobs->push_back(Job{TimeSet(std::move(intervals))});
+      return read;
+    });
   }
 };
 
@@ -496,10 +519,9 @@ struct Slots {
     }
     write_value(out, wire);
   }
-  static bool read(const JsonValue& json, Schedule* schedule,
-                   ReadError& err) {
+  static bool read(Reader& in, Schedule* schedule, ReadError& err) {
     ScheduleWire wire;
-    if (!read_value(json, &wire, err)) return false;
+    if (!read_value(in, &wire, err)) return false;
     if (wire.jobs > kMaxScheduleJobs) {
       err.fail("more than " + std::to_string(kMaxScheduleJobs) + " jobs");
       return err.within("jobs");
@@ -573,56 +595,51 @@ void write_value(std::string& out, const M& value) {
 }
 
 template <class Kind, class M>
-bool read_value(const JsonValue& json, M* value, ReadError& err) {
-  using K = JsonValue::Kind;
+bool read_value(Reader& in, M* value, ReadError& err) {
   if constexpr (!std::is_same_v<Kind, Auto>) {
-    return Kind::read(json, value, err);
+    return Kind::read(in, value, err);
   } else if constexpr (std::is_same_v<M, bool>) {
-    if (json.kind != K::kBool) return err.fail("expected a bool");
-    *value = json.boolean;
+    const std::optional<bool> b = in.boolean();
+    if (!b.has_value()) return err.fail("expected a bool");
+    *value = *b;
   } else if constexpr (std::is_floating_point_v<M>) {
-    if (json.kind != K::kNumber) return err.fail("expected a number");
-    *value = json.number;
+    const std::optional<double> v = in.number();
+    if (!v.has_value()) return err.fail("expected a number");
+    *value = *v;
   } else if constexpr (std::is_integral_v<M>) {
     // Out-of-range wire input is an error, never a plausible wrong value.
-    if (json.kind != K::kNumber || !json.is_integer) {
-      return err.fail("expected an integer");
-    }
-    if (std::is_unsigned_v<M> && json.integer < 0) {
+    const std::optional<std::int64_t> v = in.integer();
+    if (!v.has_value()) return err.fail("expected an integer");
+    if (std::is_unsigned_v<M> && *v < 0) {
       return err.fail("expected a non-negative integer");
     }
-    if (!std::in_range<M>(json.integer)) {
-      return err.fail("integer out of range");
-    }
-    *value = static_cast<M>(json.integer);
+    if (!std::in_range<M>(*v)) return err.fail("integer out of range");
+    *value = static_cast<M>(*v);
   } else if constexpr (std::is_same_v<M, std::string>) {
-    if (json.kind != K::kString) return err.fail("expected a string");
-    *value = json.string;
+    if (!in.string(value)) return err.fail("expected a string");
   } else if constexpr (kIsList<M>) {
-    if (json.kind != K::kArray) return err.fail("expected an array");
-    value->assign(json.elements.size(), {});
-    for (std::size_t i = 0; i < json.elements.size(); ++i) {
-      if (!read_value(json.elements[i], &(*value)[i], err)) {
-        return err.within(i);
-      }
-    }
+    if (in.peek() != '[') return err.fail("expected an array");
+    value->clear();
+    return in.array([&] {
+      return read_value(in, &value->emplace_back(), err) ||
+             err.within(value->size() - 1);
+    });
   } else if constexpr (kIsStageMap<M>) {
     // Any subset of stages; an unknown name is a version skew the tallies
     // cannot absorb silently.
-    if (json.kind != K::kObject) return err.fail("expected an object");
-    for (const auto& [name, entry] : json.members) {
+    if (in.peek() != '{') return err.fail("expected an object");
+    return in.object([&](std::string_view name) {
       const auto stage = engine::pipeline_stage_from_string(name);
       if (!stage.has_value()) {
-        return err.fail("unknown pipeline stage '" + name + "'");
+        return err.fail("unknown pipeline stage '" + std::string(name) + "'");
       }
-      if (!read_value(entry, &(*value)[static_cast<std::size_t>(*stage)],
-                      err)) {
-        return err.within(name);
-      }
-    }
+      return read_value(in, &(*value)[static_cast<std::size_t>(*stage)],
+                        err) ||
+             err.within(name);
+    });
   } else {
-    if (json.kind != K::kObject) return err.fail("expected an object");
-    return read_fields(json, value, err);
+    if (in.peek() != '{') return err.fail("expected an object");
+    return read_fields(in, value, err);
   }
   return true;
 }
@@ -650,18 +667,41 @@ void write_fields(std::string& out, const T& object, bool* first) {
 }
 
 template <class Kind, class C, class M>
-bool read_field(const JsonValue& json, C* object,
-                const Field<Kind, C, M>& f, ReadError& err) {
-  return read_key<Kind>(json, f.name, &(object->*f.member), err);
+bool read_field(Reader& in, C* object, const Field<Kind, C, M>& f,
+                ReadError& err) {
+  return read_value<Kind>(in, &(object->*f.member), err) || err.within(f.name);
 }
 
+/// Reads the members of the object at `in` in document order; a missing
+/// key keeps its default. Entries fail independently, so when several are
+/// bad the one reported is the first in the table, exactly as a walk of the
+/// table in order would find. A bad value is checked again from its start
+/// as it is stepped over, so a later syntax error still wins.
 template <class T>
-bool read_fields(const JsonValue& json, T* object, ReadError& err) {
-  return std::apply(
-      [&](const auto&... f) {
-        return (read_field(json, object, f, err) && ...);
-      },
-      kTable<T>);
+bool read_fields(Reader& in, T* object, ReadError& err) {
+  constexpr std::size_t kN =
+      std::tuple_size_v<std::decay_t<decltype(kTable<T>)>>;
+  std::size_t first_bad = kN;
+  const bool walked = in.object([&](std::string_view key) {
+    const Reader::Mark start = in.mark();
+    std::size_t index = kN;
+    ReadError field_err;
+    const bool ok = [&]<std::size_t... I>(std::index_sequence<I...>) {
+      return ((std::get<I>(kTable<T>).name != key ||
+               (index = I, read_field(in, object, std::get<I>(kTable<T>),
+                                      field_err))) &&
+              ...);
+    }(std::make_index_sequence<kN>{});
+    if (ok && index < kN) return true;
+    if (in.broken()) return false;
+    if (!ok && index < first_bad) {
+      first_bad = index;
+      err = std::move(field_err);
+    }
+    in.reset(start);  // step over an unknown member or all of a bad one
+    return in.value();
+  });
+  return walked && first_bad == kN;
 }
 
 // ----------------------------------------------------------------- tables --
@@ -858,27 +898,32 @@ std::nullopt_t reject(std::string* error, std::string why) {
   return std::nullopt;
 }
 
-/// Parses `text` and requires an object at the top level.
-std::optional<JsonValue> parse_object(std::string_view text,
-                                      std::string_view what,
-                                      std::string* error) {
-  Parser parser(text);
-  std::optional<JsonValue> doc = parser.parse(error);
-  if (doc.has_value() && doc->kind != JsonValue::Kind::kObject) {
-    return reject(error, std::string(what) + " must be an object");
-  }
-  return doc;
+/// Reads the document in `text` in one pass, read(in) walking its
+/// top-level object. nullopt (*error set) on a syntax error or a top level
+/// that is no object, which win over any field error; else whether read
+/// succeeded.
+template <class F>
+std::optional<bool> read_top(std::string_view text, std::string_view what,
+                             std::string* error, F&& read) {
+  Reader in(text);
+  const bool object = in.peek() == '{';
+  const bool read_ok = object ? read(in) : in.value();
+  if (in.broken() || !in.finish()) return reject(error, in.error());
+  if (!object) return reject(error, std::string(what) + " must be an object");
+  return read_ok;
 }
 
 /// Reads T's table from the top level of the document in `text`.
 template <class T>
 std::optional<T> read_document(std::string_view text, std::string_view what,
                                std::string* error) {
-  const std::optional<JsonValue> doc = parse_object(text, what, error);
-  if (!doc.has_value()) return std::nullopt;
   T value{};
   ReadError err;
-  if (!read_fields(*doc, &value, err)) return reject(error, err.text());
+  const std::optional<bool> read =
+      read_top(text, what, error,
+               [&](Reader& in) { return read_fields(in, &value, err); });
+  if (!read.has_value()) return std::nullopt;
+  if (!*read) return reject(error, err.text());
   return value;
 }
 
@@ -918,19 +963,24 @@ std::string request_to_json(std::string_view solver,
 std::optional<engine::SolveRequest> request_from_json(std::string_view text,
                                                       std::string* solver,
                                                       std::string* error) {
-  const std::optional<JsonValue> doc =
-      parse_object(text, "request document", error);
-  if (!doc.has_value()) return std::nullopt;
-  std::string name;
   engine::SolveRequest request;
+  ReadError body;
+  const std::optional<bool> read =
+      read_top(text, "request document", error, [&](Reader& in) {
+        return read_fields(in, &request, body);
+      });
+  if (!read.has_value()) return std::nullopt;
+  // The document is whole now; its solver name reads first.
+  std::string name;
   ReadError err;
-  if (!read_key(*doc, "solver", &name, err) ||
-      !read_fields(*doc, &request, err)) {
+  if (Reader in(text); enter(in, "solver") &&
+                       !(read_value(in, &name, err) || err.within("solver"))) {
     return reject(error, err.text());
   }
+  if (!*read) return reject(error, body.text());
   if (name.empty()) return reject(error, "missing 'solver' field");
-  const JsonValue* instance = doc->find("instance");
-  if (instance == nullptr || instance->find("jobs") == nullptr) {
+  if (Reader in(text); request.instance.jobs.empty() &&
+                       !(enter(in, "instance") && enter(in, "jobs"))) {
     return reject(error, "missing 'instance.jobs' array");
   }
   if (solver != nullptr) *solver = std::move(name);

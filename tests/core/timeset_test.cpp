@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "gapsched/util/prng.hpp"
+#include "../support/test_seed.hpp"
+
 namespace gapsched {
 namespace {
 
@@ -12,6 +18,16 @@ TEST(TimeSet, NormalizesOverlappingAndAdjacentIntervals) {
   EXPECT_EQ(s.intervals()[0], (Interval{1, 9}));
   EXPECT_EQ(s.intervals()[1], (Interval{15, 15}));
   EXPECT_EQ(s.size(), 10);
+}
+
+TEST(TimeSet, NormalizesIntervalsEndingAtTheLargestTime) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  EXPECT_EQ(TimeSet({{0, kMax}, {5, 7}}).intervals(),
+            (std::vector<Interval>{{0, kMax}}));
+  EXPECT_EQ(TimeSet({{kMax, kMax}, {kMax - 1, kMax - 1}}).intervals(),
+            (std::vector<Interval>{{kMax - 1, kMax}}));
+  EXPECT_EQ(TimeSet({{kMax, kMax}, {kMax - 3, kMax - 2}}).interval_count(),
+            2u);
 }
 
 TEST(TimeSet, DropsEmptyIntervals) {
@@ -124,6 +140,26 @@ TEST_P(TimeSetAlgebra, MatchesPointwiseSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, TimeSetAlgebra, ::testing::Range(0, 25));
+
+// shifted() skips re-normalization (a shift keeps order and gaps); it must
+// still equal the set built from the shifted intervals, for any delta.
+TEST(TimeSet, ShiftedMatchesRenormalizedIntervals) {
+  Prng rng(testing::seed_for(4410));
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Interval> ivs;
+    const std::size_t k = rng.index(8);
+    for (std::size_t i = 0; i < k; ++i) {
+      const Time lo = rng.uniform(-500, 500);
+      ivs.push_back({lo, lo + rng.uniform(-1, 20)});  // some empty
+    }
+    const TimeSet set(ivs);
+    const Time delta = rng.uniform(-2000, 2000);
+    std::vector<Interval> moved = ivs;
+    for (Interval& iv : moved) iv = {iv.lo + delta, iv.hi + delta};
+    EXPECT_EQ(set.shifted(delta), TimeSet(std::move(moved)))
+        << "round " << round << ", delta " << delta;
+  }
+}
 
 }  // namespace
 }  // namespace gapsched

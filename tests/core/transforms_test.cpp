@@ -8,6 +8,7 @@
 #include "gapsched/exact/brute_force.hpp"
 #include "gapsched/exact/power_brute_force.hpp"
 #include "gapsched/gen/generators.hpp"
+#include "gapsched/scenarios/scenarios.hpp"
 #include "../support/test_seed.hpp"
 
 namespace gapsched {
@@ -148,6 +149,92 @@ TEST_P(CappedCompressionPreservesPower, OptimaMatch) {
 
 INSTANTIATE_TEST_SUITE_P(Random, CappedCompressionPreservesPower,
                          ::testing::Range(0, 30));
+
+// ------------------------------------------------- reference parity --
+// compress_dead_time_capped normalizes all job intervals once and maps
+// times by binary search. The reference below is the plain definition: the
+// live union grown one job at a time and time maps that scan every live
+// interval. Both must agree on every job, every map and the removed time.
+
+struct ReferenceCompression {
+  std::vector<Interval> original;
+  std::vector<Interval> compressed;
+  std::vector<TimeSet> jobs;
+};
+
+Time reference_map(const std::vector<Interval>& from,
+                   const std::vector<Interval>& to, Time t) {
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    if (from[i].contains(t)) return to[i].lo + (t - from[i].lo);
+  }
+  ADD_FAILURE() << "time " << t << " is in no live interval";
+  return t;
+}
+
+ReferenceCompression reference_compress(const Instance& inst, Time cap) {
+  TimeSet live;
+  for (const Job& j : inst.jobs) live = live.unite(j.allowed);
+  ReferenceCompression ref;
+  Time cursor = 0;
+  for (const Interval& iv : live.intervals()) {
+    if (!ref.original.empty()) {
+      cursor += std::min<Time>(iv.lo - ref.original.back().hi - 1, cap);
+    }
+    ref.original.push_back(iv);
+    ref.compressed.push_back({cursor, cursor + iv.length() - 1});
+    cursor += iv.length();
+  }
+  for (const Job& j : inst.jobs) {
+    std::vector<Interval> mapped;
+    for (const Interval& iv : j.allowed.intervals()) {
+      const Time lo = reference_map(ref.original, ref.compressed, iv.lo);
+      mapped.push_back({lo, lo + iv.length() - 1});
+    }
+    ref.jobs.push_back(TimeSet(std::move(mapped)));
+  }
+  return ref;
+}
+
+void expect_reference_parity(const Instance& inst, Time cap) {
+  SCOPED_TRACE("cap " + std::to_string(cap));
+  const CompressedInstance c = compress_dead_time_capped(inst, cap);
+  const ReferenceCompression ref = reference_compress(inst, cap);
+  ASSERT_EQ(c.original_intervals, ref.original);
+  ASSERT_EQ(c.compressed_intervals, ref.compressed);
+  ASSERT_EQ(c.instance.n(), inst.n());
+  for (std::size_t j = 0; j < inst.n(); ++j) {
+    EXPECT_EQ(c.instance.jobs[j].allowed, ref.jobs[j]) << "job " << j;
+  }
+  EXPECT_EQ(c.dead_time_removed(),
+            (ref.original.back().hi - ref.original.front().lo) -
+                (ref.compressed.back().hi - ref.compressed.front().lo));
+  for (const Interval& iv : ref.original) {
+    for (Time t = iv.lo; t <= iv.hi; ++t) {
+      const Time mapped = c.to_compressed(t);
+      ASSERT_EQ(mapped, reference_map(ref.original, ref.compressed, t));
+      ASSERT_EQ(c.to_original(mapped), t);
+    }
+  }
+}
+
+TEST(CompressDeadTimeCapped, MatchesTheReferenceOnPolyScale2000) {
+  const std::optional<Instance> inst =
+      scenarios::make_scenario("poly_scale:2000", 7);
+  ASSERT_TRUE(inst.has_value());
+  for (Time cap : {1, 2, 4}) expect_reference_parity(*inst, cap);
+}
+
+TEST(CompressDeadTimeCapped, MatchesTheReferenceOnMultiIntervalInstances) {
+  for (std::uint64_t site = 0; site < 20; ++site) {
+    const std::uint64_t prng_seed = testing::seed_for(9100 + site);
+    GAPSCHED_TRACE_SEED(prng_seed);
+    Prng rng(prng_seed);
+    const Instance inst = gen_multi_interval(
+        rng, 5 + rng.index(20), 200 + rng.uniform(0, 800), 1 + rng.index(4),
+        1 + rng.uniform(0, 6));
+    for (Time cap : {1, 2, 4}) expect_reference_parity(inst, cap);
+  }
+}
 
 // -------------------------------------------------------- dead-run stretch --
 

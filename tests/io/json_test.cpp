@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "gapsched/engine/engine.hpp"
 #include "gapsched/io/json.hpp"
@@ -437,6 +440,72 @@ TEST(JsonCodec, NumericOverflowIsACleanErrorNotATruncation) {
       &solver, &error);
   ASSERT_TRUE(inf_alpha.has_value()) << error;
   EXPECT_TRUE(std::isinf(inf_alpha->params.alpha));
+}
+
+// Number edge cases, pinned to what the DOM reader this codec replaced
+// returned for them: an integer field takes only an optional '-' and
+// digits that fit int64, a double field takes whatever strtod reads whole
+// (so 1e99999 is inf), and a token strtod stops short on is a syntax
+// error naming its byte offset.
+TEST(JsonCodec, NumberEdgeCasesReadAsBefore) {
+  struct Pin {
+    const char* token;
+    std::optional<std::int64_t> integer;  // nullopt: the int field rejects
+    std::optional<double> number;         // nullopt: the double field rejects
+    const char* error;  // the error either field gives; null: a field error
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const Pin pins[] = {
+      {"-0", 0, -0.0, nullptr},
+      {"1.", std::nullopt, 1.0, nullptr},
+      {".5", std::nullopt, 0.5, nullptr},
+      {"+1", std::nullopt, 1.0, nullptr},
+      {"-", std::nullopt, std::nullopt, "malformed number (at byte "},
+      {"1e", std::nullopt, std::nullopt, "malformed number (at byte "},
+      {"1e99999", std::nullopt, inf, nullptr},
+      {"1e-99999", std::nullopt, 0.0, nullptr},
+      {"9223372036854775807", std::numeric_limits<std::int64_t>::max(),
+       9223372036854775807.0, nullptr},
+      {"9223372036854775808", std::nullopt, 9223372036854775808.0, nullptr},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.token);
+    std::string error;
+    const auto as_int = result_from_json(
+        std::string(R"({"transitions":)") + pin.token + "}", &error);
+    ASSERT_EQ(as_int.has_value(), pin.integer.has_value()) << error;
+    if (as_int.has_value()) {
+      EXPECT_EQ(as_int->transitions, *pin.integer);
+    } else if (pin.error == nullptr) {
+      EXPECT_EQ(error, "malformed 'transitions': expected an integer");
+    } else {
+      EXPECT_EQ(error.rfind(pin.error, 0), 0u) << error;
+    }
+    const auto as_double = result_from_json(
+        std::string(R"({"cost":)") + pin.token + "}", &error);
+    ASSERT_EQ(as_double.has_value(), pin.number.has_value()) << error;
+    if (as_double.has_value()) {
+      EXPECT_EQ(as_double->cost, *pin.number);
+      EXPECT_EQ(std::signbit(as_double->cost), std::signbit(*pin.number));
+    } else {
+      EXPECT_EQ(error.rfind(pin.error, 0), 0u) << error;
+    }
+  }
+}
+
+// A syntax error wins over a field error even when the bad field comes
+// first: the reader checks the whole document before it reports a field.
+TEST(JsonCodec, ASyntaxErrorLaterWinsOverAnEarlierFieldError) {
+  std::string error;
+  EXPECT_FALSE(
+      result_from_json(R"({"ok":"yes","cost":1,"x":[1,}])", &error)
+          .has_value());
+  EXPECT_EQ(error, "expected a value (at byte 28)");
+  // The same document without the syntax error reports the field.
+  EXPECT_FALSE(
+      result_from_json(R"({"ok":"yes","cost":1,"x":[1]})", &error)
+          .has_value());
+  EXPECT_EQ(error, "malformed 'ok': expected a bool");
 }
 
 TEST(JsonCodec, StringEscapesSurvive) {
