@@ -1,6 +1,6 @@
 // T11 — the serving stack under a mixed loopback burst: an in-process
-// gapsched_serve endpoint (sharded, one Session per connection, shared
-// SolveCache) driven by the loadgen client at >= 5k requests across the
+// gapsched_serve endpoint (sharded, every connection served by one Engine
+// and its SolveCache) driven by the loadgen client at >= 5k requests across the
 // three solver families: mega_mixed/gap_dp (exact window DP on mixed
 // catalog draws), poly_scale/bcd_poly_gap (the polynomial [BCD07] family
 // at n in the hundreds), and stretched power_longhaul/power_dp (the

@@ -315,8 +315,8 @@ int main(int, char** argv) {
 
   // ------------------------------------------------- solve cache study --
   // (a) Repeated catalog sweep: one exact-anchor batch (every one-interval
-  // scenario x {gap_dp, power_dp, baptiste} x kTrials draws), solved twice
-  // through Engine::solve_stream. With the cache on, the second pass is
+  // scenario x {gap_dp, power_dp, bcd_poly_gap} x kTrials draws), solved
+  // twice through Engine::solve_stream. With the cache on, the second pass is
   // pure canonical-key lookups; with it off, every solve re-runs the DP.
   // Timing passes run validate-off (the oracle costs the same either way
   // and would blur the cache effect); a fully audited cache-on pass runs
@@ -324,7 +324,7 @@ int main(int, char** argv) {
   // free pass from the oracle.
   std::cout << "=== solve cache: repeat sweep + identical-component dedup "
                "===\n\n";
-  const char* kAnchors[] = {"gap_dp", "power_dp", "baptiste"};
+  const char* kAnchors[] = {"gap_dp", "power_dp", "bcd_poly_gap"};
   std::vector<engine::BatchJob> sweep_batch;
   for (const scenarios::Scenario* sc :
        scenarios::ScenarioCatalog::instance().all()) {

@@ -1,10 +1,10 @@
-// gapsched_serve — the long-lived solve server over the engine::Session
-// seam (serve/server.hpp): NDJSON frames over TCP, canonical-key-sharded
-// workers, one shared SolverRegistry + SolveCache, one Session per
-// connection.
+// gapsched_serve — the long-lived solve server over one engine::Engine
+// (serve/server.hpp): NDJSON frames over TCP, canonical-key-sharded
+// workers, and one Engine (registry + SolveCache + optional store) shared
+// by every connection.
 //
 //   $ ./gapsched_serve --port 7421 --shards 4
-//   gapsched_serve listening on 127.0.0.1:7421 (4 shards, 16 solvers)
+//   gapsched_serve listening on 127.0.0.1:7421 (4 shards, 13 solvers)
 //
 // Shutdown is always graceful: SIGTERM, SIGINT, or a client "drain" frame
 // stops the acceptor, completes every request already accepted onto a
@@ -38,7 +38,7 @@ int usage() {
       << "  --cache-capacity <n> shared solve-cache entry cap\n"
       << "                       (default 65536)\n"
       << "  --store <path>       persistent on-disk solve store shared by\n"
-      << "                       all shards, CLI sessions, and restarts\n"
+      << "                       all shards, CLI runs, and restarts\n"
       << "                       (created if missing; loads oracle-gated)\n"
       << "  --spill-min-ms <x>   only persist solves that took >= x ms\n"
       << "                       (default 0.1)\n"

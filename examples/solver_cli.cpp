@@ -10,9 +10,6 @@
 //   $ ./solver_cli restart_greedy --spans 3 instance.txt
 //   $ ./solver_cli gap_dp --json scenario:sparse_spread:7   # io/json codec
 //
-// Legacy spellings (gaps / power / power-approx / greedy / throughput) are
-// kept as aliases of the registry names.
-//
 // Default output: the objective value, a Gantt chart, metrics, and the
 // schedule in the io/serialize.hpp text format. With --json, the result is
 // emitted as the io/json.hpp response document instead (machine-readable;
@@ -153,16 +150,6 @@ int list_scenarios() {
                "every interior dead run of length >= "
             << scenarios::kStretchMinRun << " by k\n";
   return 0;
-}
-
-/// Maps the pre-engine CLI verbs onto registry names.
-std::string canonical_name(const std::string& mode) {
-  if (mode == "gaps") return "gap_dp";
-  if (mode == "power") return "power_dp";
-  if (mode == "power-approx") return "powermin_approx";
-  if (mode == "greedy") return "fhkn_greedy";
-  if (mode == "throughput") return "restart_greedy";
-  return mode;
 }
 
 std::optional<Instance> load(const std::string& path) {
@@ -374,9 +361,7 @@ int main(int argc, char** argv) {
   bool cache_stats = false;
   std::string connect_spec;
   std::string warm_spec;
-  // Flags may appear anywhere; non-flag arguments are collected and
-  // resolved afterwards so the legacy "power <alpha> <file>" and
-  // "throughput <k> <file>" spellings still work.
+  // Flags may appear anywhere; the one non-flag argument is the instance.
   std::vector<std::string> positionals;
   std::vector<std::string> flags_seen;
   for (std::size_t i = 1; i < args.size(); ++i) {
@@ -479,7 +464,7 @@ int main(int argc, char** argv) {
     std::cerr << "warning: running without the store: " << eng.store_error()
               << "\n";
   }
-  const std::string name = canonical_name(args[0]);
+  const std::string& name = args[0];
   const engine::Solver* solver = eng.registry().find(name);
   if (solver == nullptr) {
     std::cerr << "unknown solver '" << args[0] << "' (see solver_cli --list)\n";
@@ -528,27 +513,12 @@ int main(int argc, char** argv) {
     if (cache_stats) print_cache_stats(eng);
     return rc;
   }
-  if (positionals.empty() || positionals.size() > 2) return usage();
-  const std::string file = positionals.back();
-  if (positionals.size() == 2) {
-    // Legacy positional parameter before the file name; only the power and
-    // throughput verbs ever had one, anything else is a stray argument and
-    // an error (not silently ignored).
-    const std::string& param = positionals.front();
-    try {
-      if (request.objective == engine::Objective::kPower) {
-        request.params.alpha = std::stod(param);
-      } else if (request.objective == engine::Objective::kThroughput) {
-        request.params.max_spans = std::stoul(param);
-      } else {
-        std::cerr << "unexpected argument '" << param << "'\n";
-        return usage();
-      }
-    } catch (const std::exception&) {
-      std::cerr << "bad numeric argument near '" << param << "'\n";
-      return 2;
-    }
+  if (positionals.empty()) return usage();
+  if (positionals.size() > 1) {
+    std::cerr << "unexpected argument '" << positionals.front() << "'\n";
+    return usage();
   }
+  const std::string& file = positionals.front();
 
   auto inst = load(file);
   if (!inst) return 1;

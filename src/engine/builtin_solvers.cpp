@@ -7,7 +7,6 @@
 #include <memory>
 #include <utility>
 
-#include "gapsched/baptiste/baptiste.hpp"
 #include "gapsched/bcd/bcd.hpp"
 #include "gapsched/dp/dp_common.hpp"
 #include "gapsched/dp/gap_dp.hpp"
@@ -133,28 +132,6 @@ class BcdPolyGapSolver final : public BuiltinSolver {
     out.stats.states = r.states;
     out.stats.nodes = r.entries;
     return out;
-  }
-};
-
-class BaptisteSolver final : public BuiltinSolver {
- public:
-  BaptisteSolver()
-      : BuiltinSolver({.name = "baptiste",
-                       .objective = Objective::kGaps,
-                       .summary = "alias of bcd_poly_gap: polynomial "
-                                  "single-processor gap DP [Bap06 problem]",
-                       .paper_ref = "[BCD07] arXiv:0908.3505 (baseline of "
-                                    "Theorem 1, Section 1)",
-                       .complexity = "poly: O(n^3) states, reachability-"
-                                     "driven",
-                       .exact = true,
-                       .requires_one_interval = true,
-                       .max_processors = 1}) {}
-
-  SolveResult do_solve(const SolveRequest& req) const override {
-    BaptisteResult r = solve_baptiste(req.instance);
-    if (!r.error.empty()) return SolveResult::rejected(std::move(r.error));
-    return gap_result(r.feasible, r.spans, std::move(r.schedule));
   }
 };
 
@@ -398,7 +375,6 @@ void register_builtin_solvers(SolverRegistry& registry) {
   registry.add(std::make_unique<GapDpSolver>());
   registry.add(std::make_unique<BcdPolyGapSolver>());
   registry.add(std::make_unique<BcdPolyPowerSolver>());
-  registry.add(std::make_unique<BaptisteSolver>());
   registry.add(std::make_unique<BruteForceSolver>());
   registry.add(std::make_unique<SpanSearchSolver>());
   registry.add(std::make_unique<FhknGreedySolver>());

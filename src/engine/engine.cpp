@@ -1,5 +1,6 @@
 #include "gapsched/engine/engine.hpp"
 
+#include <string>
 #include <utility>
 
 #include "gapsched/store/store.hpp"
@@ -38,8 +39,8 @@ Engine::Engine(EngineOptions options)
       cache_(options_.cache
                  ? std::make_unique<SolveCache>(options_.cache_capacity)
                  : nullptr),
-      session_(std::make_unique<Session>(*registry_, cache_.get(),
-                                         options_.threads)) {
+      pool_(options_.threads),
+      hooks_{cache_.get(), &pool_} {
   if (cache_ != nullptr && !options_.store_path.empty()) {
     store::StoreOptions sopt;
     sopt.max_bytes = options_.store_max_bytes;
@@ -56,21 +57,64 @@ Engine::~Engine() = default;
 
 SolveResult Engine::solve(std::string_view solver,
                           const SolveRequest& request) {
-  return session_->solve(solver, request);
+  const Solver* s = registry_->find(solver);
+  if (s == nullptr) {
+    SolveResult rejected =
+        SolveResult::rejected("unknown solver '" + std::string(solver) + "'");
+    record(rejected);
+    return rejected;
+  }
+  return solve(*s, request);
 }
 
 SolveResult Engine::solve(const Solver& solver, const SolveRequest& request) {
-  return session_->solve(solver, request);
+  SolveResult result = solver.solve(request, hooks_);
+  record(result);
+  return result;
 }
 
 std::vector<SolveResult> Engine::solve_batch(
     const std::vector<BatchJob>& jobs) {
-  return session_->solve_batch(jobs);
+  return solve_stream(jobs, nullptr);
 }
 
 std::vector<SolveResult> Engine::solve_stream(
     const std::vector<BatchJob>& jobs, const StreamCallback& on_result) {
-  return session_->solve_stream(jobs, on_result);
+  std::vector<SolveResult> results(jobs.size());
+  // Resolve solver names up front so every entry hits the registry once and
+  // pool threads only touch immutable Solver objects.
+  std::vector<const Solver*> solvers(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    solvers[i] = registry_->find(jobs[i].solver);
+  }
+  std::mutex callback_mu;
+  parallel_for(pool_, jobs.size(), [&](std::size_t i) {
+    results[i] = solvers[i] != nullptr
+                     ? solvers[i]->solve(jobs[i].request, hooks_)
+                     : SolveResult::rejected("unknown solver '" +
+                                             jobs[i].solver + "'");
+    record(results[i]);
+    if (on_result) {
+      std::lock_guard<std::mutex> lk(callback_mu);
+      on_result(i, results[i]);
+    }
+  });
+  return results;
+}
+
+pipeline::PipelineStats Engine::pipeline_stats() const {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  return stats_;
+}
+
+void Engine::reset_pipeline_stats() {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  stats_ = pipeline::PipelineStats{};
+}
+
+void Engine::record(const SolveResult& result) {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  stats_.absorb(result.stats);
 }
 
 CacheStats Engine::cache_stats() const {

@@ -20,26 +20,14 @@ namespace gapsched::engine::pipeline {
 
 namespace {
 
-/// Components are fanned over the fan-out pool only when there are at
-/// least two of them and the largest is at least this many jobs: dispatch
-/// overhead exceeds an entire small-cluster DP solve, so small
+/// Components are fanned over the environment's pool only when there are
+/// at least two of them and the largest is at least this many jobs:
+/// dispatch overhead exceeds an entire small-cluster DP solve, so small
 /// decompositions run inline, and a lone component has nothing to run
 /// beside it.
 constexpr std::size_t kParallelFanoutMinComponentJobs = 16;
 
 constexpr std::size_t kNoDup = static_cast<std::size_t>(-1);
-
-/// Shared fan-out pool, lazily constructed on the first large
-/// decomposition and reused for every later solve whose environment pins
-/// no pool of its own. A per-solve pool would pay thread spawn inside the
-/// timed solve and nest a fresh pool under every batch worker. Component
-/// tasks never submit back into this pool, so concurrent solves sharing it
-/// cannot deadlock — parallel_for's global wait_idle only makes them wait
-/// out each other's tasks.
-ThreadPool& shared_fanout_pool() {
-  static ThreadPool pool;
-  return pool;
-}
 
 /// Decomposition is sound exactly for the families whose reported objective
 /// is provably additive across far-apart components: the exact gap and
@@ -352,10 +340,9 @@ void Pipeline::dispatch(SolveContext& ctx) {
     ctx.parts[c] = ctx.solver.do_solve(sub);
     solve_ms[c] = solve_watch.millis();
   };
-  if (ctx.to_solve.size() > 1 && largest >= kParallelFanoutMinComponentJobs) {
-    ThreadPool& pool =
-        ctx.env.fanout != nullptr ? *ctx.env.fanout : shared_fanout_pool();
-    parallel_for(pool, ctx.to_solve.size(), solve_component);
+  if (ctx.env.pool != nullptr && ctx.to_solve.size() > 1 &&
+      largest >= kParallelFanoutMinComponentJobs) {
+    parallel_for(*ctx.env.pool, ctx.to_solve.size(), solve_component);
   } else {
     for (std::size_t i = 0; i < ctx.to_solve.size(); ++i) solve_component(i);
   }

@@ -7,8 +7,8 @@
 // algorithm (src/bcd, [BCD07] arXiv:0908.3505) — same answers wherever both
 // are in range, but live at n in the thousands — and keeps the interface
 // downstream users expect (spans / interior gaps rather than multiprocessor
-// transitions). The registry's `baptiste` family is an alias of
-// `bcd_poly_gap` through this entry point.
+// transitions). Through the engine, the same algorithm is the registry's
+// `bcd_poly_gap` family.
 
 #include <cstdint>
 #include <string>

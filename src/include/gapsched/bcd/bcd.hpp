@@ -3,7 +3,7 @@
 // ([BCD07], arXiv:0908.3505): minimum-gap and minimum-energy scheduling of
 // one-interval unit jobs on a single processor in polynomial time — the
 // registry's `bcd_poly_gap` / `bcd_poly_power` families, and the algorithm
-// behind the `baptiste` alias. The DP itself (release-class decomposition
+// behind solve_baptiste(). The DP itself (release-class decomposition
 // with Pareto frontiers per subproblem) lives in bcd_core.hpp; this header
 // is the result-struct API mirroring gap_dp.hpp / power_dp.hpp so callers
 // and the engine treat the families uniformly.

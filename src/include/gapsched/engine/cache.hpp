@@ -16,8 +16,8 @@
 // lookup so digest collisions can never alias two different solves.
 //
 // Thread safety: all operations take an internal mutex; the cache is shared
-// by Engine::solve_stream workers and by the prep pipeline's component
-// fan-out. Capacity is enforced LRU.
+// by every thread that solves through its Engine (batch entries, component
+// fan-out, and the server's shards). Capacity is enforced LRU.
 //
 // Second tier (optional): attach_store() hangs a persistent
 // store::DiskStore under the LRU as a read-through/write-behind spill.

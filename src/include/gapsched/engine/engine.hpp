@@ -1,17 +1,18 @@
 #pragma once
-// gapsched::engine::Engine — the persistent, stateful front end of the
-// solver engine, and the API every downstream consumer (CLI, benches,
-// tests, a future server) sits on.
+// gapsched::engine::Engine — the one owner of the solve runtime, and the
+// API every downstream consumer (CLI, benches, tests, the server) sits on.
 //
-// An Engine owns the three pieces of cross-request state the free-function
-// entry points had nowhere to hang:
+// An Engine owns every piece of cross-request state around the staged
+// solve pipeline (engine/pipeline.hpp):
 //
 //   * its solver registry (every built-in family pre-registered; add() more
 //     per engine without touching the process-wide instance()),
-//   * an execution Session (engine/session.hpp): the single seam
-//     solve/solve_batch/solve_stream go through, owning the pipeline's
-//     SolveHooks environment, the lazily-spawned batch worker pool, and
-//     the lifetime per-stage PipelineStats roll-up (pipeline_stats()),
+//   * one nest-safe ThreadPool (parallel/thread_pool.hpp): solve_batch and
+//     solve_stream fan requests over it, and the Dispatch stage fans the
+//     components of a large decomposition over the same pool (reached
+//     through SolveHooks). Its helpers spawn on the first fan-out, so an
+//     engine that only solves small requests starts no thread,
+//   * the lifetime per-stage PipelineStats roll-up (pipeline_stats()),
 //   * a content-addressed solve cache (engine/cache.hpp): requests are
 //     keyed by the canonical form of (prep-canonicalized — and, for gap
 //     components, dead-time-compressed — instance, objective, the
@@ -22,6 +23,9 @@
 //     Cached entries store no audit state: a hit under params.validate is
 //     re-audited against the requester's own instance by the independent
 //     oracle.
+//
+// Every method is thread-safe: concurrent solve()/solve_stream() calls
+// share the cache, the pool and the stats roll-up under their own locks.
 //
 // Batches: solve_batch() is the bulk call — results[i] always answers
 // jobs[i]. solve_stream() is the same with a completion callback — each
@@ -39,22 +43,21 @@
 // is optimal and oracle-checked), but heuristic families, being job-order
 // sensitive, may return a different valid answer than a fresh solve
 // would. Benches that require reproducible output use {.cache = false}.
-//
-// The deprecated free-function shims solve_with() / solve_many() were
-// removed one release after the Engine landed; every consumer now goes
-// through an Engine.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "gapsched/engine/cache.hpp"
+#include "gapsched/engine/pipeline.hpp"
 #include "gapsched/engine/registry.hpp"
-#include "gapsched/engine/session.hpp"
 #include "gapsched/engine/solver.hpp"
 #include "gapsched/engine/types.hpp"
+#include "gapsched/parallel/thread_pool.hpp"
 
 namespace gapsched::store {
 class DiskStore;
@@ -63,7 +66,8 @@ class DiskStore;
 namespace gapsched::engine {
 
 struct EngineOptions {
-  /// Worker threads for solve_batch/solve_stream; 0 = hardware concurrency.
+  /// Concurrency of solve_batch/solve_stream and of component fan-out (the
+  /// calling thread counts as one); 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Enables the content-addressed solve cache.
   bool cache = true;
@@ -125,7 +129,8 @@ class Engine {
   SolverRegistry& registry() { return *registry_; }
   const SolverRegistry& registry() const { return *registry_; }
 
-  /// One cache-aware solve. Unknown names come back as a rejection.
+  /// One cache-aware solve. Unknown names come back as a rejection. Every
+  /// result — including rejections — is folded into pipeline_stats().
   SolveResult solve(std::string_view solver, const SolveRequest& request);
   SolveResult solve(const Solver& solver, const SolveRequest& request);
 
@@ -137,7 +142,8 @@ class Engine {
   /// Called once per completed entry with its request index. Invocations
   /// are serialized (no locking needed inside), but arrive in completion
   /// order, not request order; the returned vector restores request order.
-  using StreamCallback = Session::StreamCallback;
+  using StreamCallback =
+      std::function<void(std::size_t index, const SolveResult& result)>;
 
   /// Streaming batch: like solve_batch, delivering each result through
   /// `on_result` the moment it completes. A null callback degenerates to
@@ -145,15 +151,10 @@ class Engine {
   std::vector<SolveResult> solve_stream(const std::vector<BatchJob>& jobs,
                                         const StreamCallback& on_result);
 
-  /// This engine's execution session — the seam a server front end would
-  /// hold directly (one per tenant around a shared registry and cache).
-  Session& session() { return *session_; }
-
   /// Per-stage pipeline roll-up (runs/skips/summed wall time, indexed by
   /// PipelineStage) across every request this engine served.
-  pipeline::PipelineStats pipeline_stats() const {
-    return session_->pipeline_stats();
-  }
+  pipeline::PipelineStats pipeline_stats() const;
+  void reset_pipeline_stats();
 
   /// Hit/miss/eviction counters of the solve cache (zeros when disabled).
   /// With a store attached this includes the disk tier: disk_hits,
@@ -171,6 +172,9 @@ class Engine {
   void flush_store();
 
  private:
+  /// Folds one finished result into the stats roll-up.
+  void record(const SolveResult& result);
+
   EngineOptions options_;
   std::unique_ptr<SolverRegistry> registry_;
   // Declared before cache_: the cache's spill worker must join (in
@@ -178,7 +182,10 @@ class Engine {
   std::unique_ptr<store::DiskStore> store_;
   std::string store_error_;
   std::unique_ptr<SolveCache> cache_;  // null when options_.cache is false
-  std::unique_ptr<Session> session_;   // owns batch pool + pipeline stats
+  ThreadPool pool_;
+  SolveHooks hooks_;  // cache_ + pool_, threaded through every solve
+  mutable std::mutex stats_mu_;
+  pipeline::PipelineStats stats_;
 };
 
 }  // namespace gapsched::engine

@@ -26,11 +26,11 @@
 //   * Audit re-derives the answer with the independent oracle under
 //     params.validate.
 //
-// The SolveHooks environment (engine/solver.hpp) is what a stateful front
-// end (Engine / Session) threads through the pipeline: the solve cache and
-// the component fan-out pool. The pipeline itself is stateless across
-// requests; behavior with a default-constructed environment is exactly the
-// old stateless solve path.
+// The SolveHooks environment (engine/solver.hpp) is what the owning Engine
+// threads through the pipeline: its solve cache and its pool, which
+// Dispatch fans large decompositions over. The pipeline itself is
+// stateless across requests; with a default-constructed environment it
+// shares nothing and solves components serially.
 
 #include <array>
 #include <cstddef>
@@ -56,7 +56,7 @@ struct SolveContext {
 
   const Solver& solver;
   const SolveRequest& request;
-  /// The pipeline's environment: cross-request cache + fan-out pool.
+  /// The pipeline's environment: cross-request cache + component pool.
   const SolveHooks& env;
 
   // ---- routing, decided by Canonicalize ----
@@ -106,7 +106,7 @@ struct SolveContext {
 
 /// The staged request pipeline. `run` drives the fixed stage sequence over
 /// a fresh SolveContext; the per-stage units are private — callers go
-/// through Solver::solve (stateless) or Engine/Session (stateful), which
+/// through Solver::solve (stateless) or the Engine (stateful), which
 /// both land here.
 class Pipeline {
  public:
@@ -127,7 +127,7 @@ class Pipeline {
   static void audit(SolveContext& ctx);
 };
 
-/// Lifetime tallies of one pipeline stage across a Session (or any other
+/// Lifetime tallies of one pipeline stage across an Engine (or any other
 /// accumulator): how often it ran, how often the pipeline skipped it, and
 /// the summed wall time of the runs.
 struct StageTally {
@@ -136,7 +136,7 @@ struct StageTally {
   double total_ms = 0.0;
 };
 
-/// Per-stage roll-up of every request a Session pushed through the
+/// Per-stage roll-up of every request an Engine pushed through the
 /// pipeline, indexed by PipelineStage.
 struct PipelineStats {
   std::array<StageTally, kPipelineStageCount> stages{};

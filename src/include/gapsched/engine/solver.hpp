@@ -22,10 +22,9 @@ namespace pipeline {
 class Pipeline;
 }  // namespace pipeline
 
-/// The pipeline's environment: every piece of cross-request state a
-/// stateful front end (Engine / Session) threads through one solve. The
-/// default-constructed form shares nothing across calls — that is the
-/// stateless path, and the cache-off Engine configuration.
+/// The pipeline's environment: every piece of cross-request state the
+/// owning Engine threads through one solve. The default-constructed form
+/// shares nothing across calls — that is the stateless path.
 struct SolveHooks {
   /// Content-addressed solve cache. When set, the CacheLookup stage keys
   /// whole solves and decomposition components by canonical form,
@@ -33,11 +32,10 @@ struct SolveHooks {
   /// publishes fresh results back. When null, CacheLookup is skipped and
   /// nothing is shared across calls.
   SolveCache* cache = nullptr;
-  /// Worker pool the Dispatch stage fans large decompositions over; null
-  /// selects the process-wide shared fan-out pool. A server front end can
-  /// pin a session-owned pool here to isolate tenants. Component tasks
-  /// must never submit back into this pool (fan-out would deadlock).
-  ThreadPool* fanout = nullptr;
+  /// The owning Engine's pool, which the Dispatch stage fans the
+  /// components of a large decomposition over. Null solves components
+  /// serially on the calling thread.
+  ThreadPool* pool = nullptr;
 };
 
 /// Which SolveParams fields a family reads. Front ends use this to reject

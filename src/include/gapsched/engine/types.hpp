@@ -163,7 +163,7 @@ struct SolveStats {
   /// Per-stage wall time and ran/skipped verdicts of the solve pipeline,
   /// indexed by PipelineStage. Every request reports all seven stages; a
   /// stage the request never needed has ran = false and ms ~ 0. Summed
-  /// across a Session's lifetime in PipelineStats.
+  /// across an Engine's lifetime in PipelineStats.
   std::array<StageStats, kPipelineStageCount> stages{};
 
   // DP memo-layer diagnostics (Theorem 1/2 execution layer), summed over

@@ -1,6 +1,6 @@
 #pragma once
-// gapsched::serve::Server — the long-lived network front end over the
-// engine::Session seam.
+// gapsched::serve::Server — the long-lived network front end over one
+// engine::Engine.
 //
 // Topology (one process):
 //
@@ -12,12 +12,12 @@
 //                       per-connection writer ◄── result frames
 //                         (bounded outbound queue, completion order)
 //
-// One SolverRegistry and one content-addressed SolveCache are shared by
-// everything; each connection owns an engine::Session around them — the
-// per-tenant shape the Session layer was built for. Requests travel the
-// shard whose index is the canonical-key hash of their content, so
-// identical (post-canonicalization) instances execute serially on one
-// worker and dedup in the shared cache instead of racing.
+// One Engine — its registry, its content-addressed SolveCache (plus the
+// optional disk store), and its pool for component fan-out — serves every
+// connection; shard tasks call Engine::solve. Requests travel the shard
+// whose index is the canonical-key hash of their content, so identical
+// (post-canonicalization) instances execute serially on one worker and
+// dedup in the shared cache instead of racing.
 //
 // Backpressure: both queues are bounded. A slow shard blocks the readers
 // feeding it; a slow client blocks the shard workers trying to deliver to
@@ -40,16 +40,10 @@
 #include <thread>
 #include <vector>
 
-#include "gapsched/engine/cache.hpp"
-#include "gapsched/engine/registry.hpp"
-#include "gapsched/engine/session.hpp"
+#include "gapsched/engine/engine.hpp"
 #include "gapsched/io/json.hpp"
 #include "gapsched/serve/protocol.hpp"
 #include "gapsched/serve/shard.hpp"
-
-namespace gapsched::store {
-class DiskStore;
-}
 
 namespace gapsched::serve {
 
@@ -63,12 +57,12 @@ struct ServerOptions {
   std::size_t shard_queue = 128;
   /// Bounded depth of each connection's outbound frame queue.
   std::size_t outbound_queue = 256;
-  /// Entry cap of the shared content-addressed solve cache.
+  /// Entry cap of the engine's content-addressed solve cache.
   std::size_t cache_capacity = 1u << 16;
   /// Hard per-frame byte bound; an over-long line closes the connection.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Path of the persistent on-disk solve store shared by every shard
-  /// (and with CLI sessions and future restarts); empty = memory-only.
+  /// (and with CLI runs and future restarts); empty = memory-only.
   /// Opened at start(), which fails if the file is corrupt or foreign —
   /// a server asked to persist must not silently run without it.
   std::string store_path = {};
@@ -86,8 +80,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the acceptor and shard workers. False
-  /// with *error set when the port cannot be bound.
+  /// Builds the Engine (opening the store), binds, listens, and spawns the
+  /// acceptor and shard workers. False with *error set when the store
+  /// cannot be opened or the port cannot be bound.
   bool start(std::string* error);
 
   /// The bound port (after start(); resolves port 0 requests).
@@ -112,10 +107,14 @@ class Server {
   void drain();
 
   /// Current tallies: shared cache counters, aggregate pipeline roll-up,
-  /// and the per-shard view — the body of the `stats` frame.
+  /// and the per-shard view — the body of the `stats` frame (empty before
+  /// start()).
   io::ServerStatsWire stats() const;
 
-  const engine::SolverRegistry& registry() const { return *registry_; }
+  /// The engine's registry. After start().
+  const engine::SolverRegistry& registry() const {
+    return engine_->registry();
+  }
 
  private:
   struct Connection;
@@ -133,11 +132,7 @@ class Server {
   ServerOptions options_;
   int port_ = 0;
 
-  std::unique_ptr<engine::SolverRegistry> registry_;
-  // Declared before cache_: ~SolveCache joins the spill worker that
-  // appends to this store.
-  std::unique_ptr<store::DiskStore> store_;
-  std::unique_ptr<engine::SolveCache> cache_;
+  std::unique_ptr<engine::Engine> engine_;  // built by start()
 
   /// One tally per shard; workers write their own entry, stats() snapshots
   /// under the mutex.

@@ -1,17 +1,48 @@
 #include "gapsched/parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace gapsched {
+
+namespace {
+
+/// One parallel_for's shared state. Helpers hold it by shared_ptr, so a
+/// helper that dequeues its run after the batch finished finds no index
+/// left and touches nothing else.
+struct Batch {
+  Batch(std::size_t n_in, const std::function<void(std::size_t)>& fn_in)
+      : n(n_in), fn(fn_in) {}
+
+  /// Claims and runs indices until none are left.
+  void drain() {
+    std::size_t ran = 0;
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      fn(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lk(mu);
+    done += ran;
+    if (done == n) cv.notify_all();
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>& fn;  // live until done == n
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  helpers_ = threads - 1;
 }
 
 ThreadPool::~ThreadPool() {
@@ -23,18 +54,24 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::post(std::size_t copies, const std::function<void()>& task) {
+  copies = std::min(copies, helpers_);
+  if (copies == 0) return;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    queue_.push(std::move(task));
-    ++in_flight_;
+    if (workers_.empty()) {
+      workers_.reserve(helpers_);
+      for (std::size_t i = 0; i < helpers_; ++i) {
+        workers_.emplace_back([this] { worker_loop(); });
+      }
+    }
+    for (std::size_t i = 0; i < copies; ++i) queue_.push(task);
   }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_idle_.wait(lk, [this] { return in_flight_ == 0; });
+  if (copies == 1) {
+    cv_task_.notify_one();
+  } else {
+    cv_task_.notify_all();
+  }
 }
 
 void ThreadPool::worker_loop() {
@@ -43,28 +80,22 @@ void ThreadPool::worker_loop() {
     {
       std::unique_lock<std::mutex> lk(mu_);
       cv_task_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // stop_ set and nothing left
       task = std::move(queue_.front());
       queue_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([i, &fn] { fn(i); });
-  }
-  pool.wait_idle();
+  if (n == 0) return;
+  auto batch = std::make_shared<Batch>(n, fn);
+  pool.post(n - 1, [batch] { batch->drain(); });
+  batch->drain();
+  std::unique_lock<std::mutex> lk(batch->mu);
+  batch->cv.wait(lk, [&] { return batch->done == n; });
 }
 
 }  // namespace gapsched

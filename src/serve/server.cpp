@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "gapsched/store/store.hpp"
-
 namespace gapsched::serve {
 
 using Clock = std::chrono::steady_clock;
@@ -13,19 +11,13 @@ using Clock = std::chrono::steady_clock;
 /// Per-connection state shared by its reader, its writer, and every shard
 /// task it has in flight.
 struct Server::Connection {
-  Connection(const engine::SolverRegistry& registry,
-             engine::SolveCache* cache, TcpStream stream_in,
-             std::size_t outbound_capacity, std::size_t max_frame_bytes)
+  Connection(TcpStream stream_in, std::size_t outbound_capacity,
+             std::size_t max_frame_bytes)
       : stream(std::move(stream_in)),
-        session(registry, cache, /*threads=*/1),
         outbound(outbound_capacity),
         lines(max_frame_bytes) {}
 
   TcpStream stream;
-  /// The per-tenant engine seam: this connection's requests walk the
-  /// pipeline through its own Session (shared registry + shared cache),
-  /// executed on whichever shard their content hashes to.
-  engine::Session session;
   /// Completion-order frames awaiting the writer; bounded, so a slow
   /// client backpressures the shard workers producing for it.
   BoundedQueue<std::string> outbound;
@@ -51,9 +43,7 @@ struct Server::Connection {
 };
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)),
-      registry_(engine::SolverRegistry::create_with_builtins()),
-      cache_(std::make_unique<engine::SolveCache>(options_.cache_capacity)) {
+    : options_(std::move(options)) {
   if (options_.shards == 0) {
     const std::size_t hw = std::thread::hardware_concurrency();
     options_.shards = std::max<std::size_t>(1, std::min<std::size_t>(4, hw));
@@ -65,14 +55,16 @@ Server::~Server() { drain(); }
 std::size_t Server::shards() const { return options_.shards; }
 
 bool Server::start(std::string* error) {
-  if (!options_.store_path.empty()) {
-    store::StoreOptions sopt;
-    sopt.max_bytes = options_.store_max_bytes;
-    store_ = store::DiskStore::open(options_.store_path, sopt, error);
-    if (store_ == nullptr) return false;
-    // Every shard shares the one cache, so one attach covers them all;
-    // loads are still oracle-gated per request in the pipeline.
-    cache_->attach_store(store_.get(), options_.store_spill_min_ms);
+  engine_ = std::make_unique<engine::Engine>(engine::EngineOptions{
+      .cache_capacity = options_.cache_capacity,
+      .store_path = options_.store_path,
+      .store_spill_min_ms = options_.store_spill_min_ms,
+      .store_max_bytes = options_.store_max_bytes});
+  if (!engine_->store_error().empty()) {
+    // The engine alone would run memory-only; a server asked to persist
+    // refuses to start instead.
+    if (error != nullptr) *error = engine_->store_error();
+    return false;
   }
   auto listener = TcpListener::listen(options_.host, options_.port, error);
   if (!listener.has_value()) return false;
@@ -96,8 +88,7 @@ void Server::accept_loop() {
     if (!stream.has_value()) return;  // listener closed: drain under way
     if (draining_.load()) continue;   // racing connect during drain
     auto conn = std::make_shared<Connection>(
-        *registry_, cache_.get(), std::move(*stream),
-        options_.outbound_queue, options_.max_frame_bytes);
+        std::move(*stream), options_.outbound_queue, options_.max_frame_bytes);
     std::lock_guard<std::mutex> lk(conns_mu_);
     reap_finished_locked();
     ConnEntry entry;
@@ -136,7 +127,7 @@ void Server::reap_finished_locked() {
 }
 
 void Server::writer_loop(const std::shared_ptr<Connection>& conn) {
-  conn->outbound.push(hello_frame(options_.shards, registry_->size()));
+  conn->outbound.push(hello_frame(options_.shards, engine_->registry().size()));
   bool broken = false;
   while (auto frame = conn->outbound.pop()) {
     if (broken) continue;  // doomed peer: drain the queue, free producers
@@ -218,7 +209,7 @@ void Server::dispatch_request(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  const engine::Solver* solver = registry_->find(solver_name);
+  const engine::Solver* solver = engine_->registry().find(solver_name);
   const std::uint64_t key = solver != nullptr
                                 ? shard_key(*solver, *request)
                                 : shard_key(solver_name);
@@ -257,7 +248,7 @@ void Server::dispatch_request(const std::shared_ptr<Connection>& conn,
               request.params.time_limit_s = remaining_s;
             }
           }
-          result = conn->session.solve(solver_name, request);
+          result = engine_->solve(solver_name, request);
         }
         {
           ShardState& state = *shard_states_[shard];
@@ -315,12 +306,12 @@ void Server::drain() {
 
   // 4. Everything answered is answered; make it durable too. A drained
   //    server must leave the store holding every qualifying solve it did.
-  cache_->flush_spill();
+  engine_->flush_store();
 }
 
 io::ServerStatsWire Server::stats() const {
   io::ServerStatsWire out;
-  out.cache = cache_->stats();
+  if (engine_ != nullptr) out.cache = engine_->cache_stats();
   for (std::size_t i = 0; i < shard_states_.size(); ++i) {
     const ShardState& state = *shard_states_[i];
     std::lock_guard<std::mutex> lk(state.mu);

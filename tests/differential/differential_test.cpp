@@ -53,7 +53,7 @@ TEST(Differential, RegistryWideAgreementOnCatalog) {
   engine::Engine eng;  // solve cache ON: cached answers face the same bar
   const SolverRegistry& registry = eng.registry();
   const std::vector<const Solver*> solvers = registry.all();
-  ASSERT_EQ(solvers.size(), 14u) << "differential suite expects every "
+  ASSERT_EQ(solvers.size(), 13u) << "differential suite expects every "
                                     "registered family to participate";
   const std::vector<const Scenario*> catalog =
       ScenarioCatalog::instance().all();
@@ -180,7 +180,7 @@ TEST(Differential, RegistryWideAgreementOnCatalog) {
     }
   }
 
-  // Acceptance: all 14 families actually answered somewhere in the sweep.
+  // Acceptance: all 13 families actually answered somewhere in the sweep.
   for (const Solver* solver : solvers) {
     EXPECT_GE(solved_cells[solver->info().name], 1)
         << solver->info().name << " never ran inside its envelope";

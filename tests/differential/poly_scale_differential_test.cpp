@@ -7,14 +7,12 @@
 //
 //   * both polynomial families survive the independent oracle audit
 //     (validity, completeness, exact cost accounting),
-//   * `baptiste` (the alias) and `bcd_poly_gap` answer identically,
 //   * the two objectives bound each other: power in
 //     [n + alpha, n + alpha * B_gap], and no schedule beats the gap
 //     optimum's block count,
 //   * the heuristic ladder sits above the exact optimum.
 //
-// Plus the in-range regression pin: on the whole static catalog the alias
-// and the new family are indistinguishable. Runs under the `long` label.
+// Runs under the `long` label.
 
 #include <gtest/gtest.h>
 
@@ -32,8 +30,6 @@ namespace {
 using engine::BatchJob;
 using engine::Objective;
 using engine::SolveResult;
-using scenarios::Scenario;
-using scenarios::ScenarioCatalog;
 
 constexpr int kSeedsPerSize = 6;
 constexpr double kAlpha = 2.5;
@@ -71,14 +67,6 @@ TEST(PolyScaleDifferential, PolynomialFamiliesCrossCheckAtScale) {
       EXPECT_TRUE(gap.audited);
       EXPECT_EQ(gap.audit_error, "") << gap.audit_error;
       EXPECT_GE(gap.transitions, 1);
-
-      // The alias is the same algorithm behind the historical name.
-      const SolveResult alias =
-          solve_one("baptiste", *inst, Objective::kGaps);
-      ASSERT_TRUE(alias.ok) << alias.error;
-      ASSERT_TRUE(alias.feasible);
-      EXPECT_EQ(alias.transitions, gap.transitions);
-      EXPECT_EQ(alias.audit_error, "");
 
       const SolveResult power =
           solve_one("bcd_poly_power", *inst, Objective::kPower);
@@ -187,39 +175,6 @@ TEST(PolyScaleDifferential, ExponentialDpsRejectWherePolynomialSolves) {
   EXPECT_LE(bcd_power.cost,
             2000.0 + kAlpha * static_cast<double>(bcd_gap.transitions) + 1e-9);
   EXPECT_GE(bcd_power.transitions, bcd_gap.transitions);
-}
-
-// Regression pin for the alias satellite: across the whole static catalog
-// (including the envelope rejections: multi-interval shapes and p > 1 are
-// refused by both names for the same reason), `baptiste` and `bcd_poly_gap`
-// are indistinguishable.
-TEST(PolyScaleDifferential, BaptisteAliasMatchesBcdPolyGapOnCatalog) {
-  const std::vector<const Scenario*> catalog =
-      ScenarioCatalog::instance().all();
-  ASSERT_GE(catalog.size(), 16u);
-  constexpr int kDraws = 3;
-  for (std::size_t sc_idx = 0; sc_idx < catalog.size(); ++sc_idx) {
-    const Scenario* sc = catalog[sc_idx];
-    SCOPED_TRACE(::testing::Message() << "scenario " << sc->name);
-    for (int draw = 0; draw < kDraws; ++draw) {
-      const std::uint64_t seed = testing::seed_for(9000 + sc_idx * 61 + draw);
-      GAPSCHED_TRACE_SEED(seed);
-      const Instance inst = sc->make(seed);
-      const SolveResult alias =
-          solve_one("baptiste", inst, Objective::kGaps);
-      const SolveResult poly =
-          solve_one("bcd_poly_gap", inst, Objective::kGaps);
-      ASSERT_EQ(alias.ok, poly.ok) << alias.error << " vs " << poly.error;
-      if (!alias.ok) continue;
-      ASSERT_EQ(alias.feasible, poly.feasible);
-      EXPECT_EQ(alias.audit_error, "");
-      EXPECT_EQ(poly.audit_error, "");
-      if (!alias.feasible) continue;
-      EXPECT_EQ(alias.transitions, poly.transitions);
-      EXPECT_EQ(alias.schedule.scheduled_count(),
-                poly.schedule.scheduled_count());
-    }
-  }
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(Registry, ListsEveryFamily) {
   const std::vector<std::string> names = SolverRegistry::instance().names();
   const std::set<std::string> got(names.begin(), names.end());
   const std::set<std::string> want = {
-      "gap_dp",      "power_dp",         "baptiste",
+      "gap_dp",      "power_dp",
       "bcd_poly_gap", "bcd_poly_power",
       "brute_force", "power_brute_force", "span_search",
       "fhkn_greedy", "lazy",             "powermin_approx",
@@ -154,7 +154,7 @@ TEST(Dispatch, GapSolversMatchDirectCalls) {
     EXPECT_EQ(via_dp.schedule, dp.schedule);
 
     const BaptisteResult bp = solve_baptiste(inst);
-    const SolveResult via_bp = engine_solve("baptiste", req);
+    const SolveResult via_bp = engine_solve("bcd_poly_gap", req);
     EXPECT_EQ(via_bp.transitions, bp.spans);
 
     const ExactGapResult bf = brute_force_min_transitions(inst);
@@ -239,7 +239,7 @@ TEST(Validation, OneIntervalRequirementIsEnforced) {
   SolveRequest req{gen_multi_interval(rng, 6, 18, 2, 2), Objective::kGaps, {}};
   ASSERT_FALSE(req.instance.is_one_interval());
   EXPECT_FALSE(engine_solve("gap_dp", req).ok);
-  EXPECT_FALSE(engine_solve("baptiste", req).ok);
+  EXPECT_FALSE(engine_solve("bcd_poly_gap", req).ok);
   EXPECT_FALSE(engine_solve("lazy", req).ok);
   // The multi-interval-capable families accept the same request.
   EXPECT_TRUE(engine_solve("brute_force", req).ok);
@@ -317,8 +317,8 @@ std::vector<Essence> essence(const std::vector<SolveResult>& results) {
 
 TEST(EngineBatch, DeterministicAcrossThreadCounts) {
   std::vector<BatchJob> jobs;
-  const char* solvers[] = {"gap_dp", "baptiste", "fhkn_greedy", "power_dp",
-                           "restart_greedy"};
+  const char* solvers[] = {"gap_dp", "bcd_poly_gap", "fhkn_greedy",
+                           "power_dp", "restart_greedy"};
   for (int seed = 0; seed < 10; ++seed) {
     for (const char* solver : solvers) {
       BatchJob job;
@@ -350,7 +350,7 @@ TEST(EngineBatch, UnknownSolverYieldsPerEntryRejection) {
   std::vector<BatchJob> jobs(3);
   jobs[0] = {"gap_dp", {small_instance(1), Objective::kGaps, {}}};
   jobs[1] = {"no_such_solver", {small_instance(2), Objective::kGaps, {}}};
-  jobs[2] = {"baptiste", {small_instance(3), Objective::kGaps, {}}};
+  jobs[2] = {"bcd_poly_gap", {small_instance(3), Objective::kGaps, {}}};
   const std::vector<SolveResult> results = batch_solve(jobs, 2);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok);
@@ -374,6 +374,52 @@ TEST(EngineBatch, SingleSolverBatchKeepsRequestOrder) {
     ASSERT_TRUE(results[i].ok);
     EXPECT_EQ(results[i].transitions, direct.transitions) << i;
     EXPECT_EQ(results[i].schedule, direct.schedule) << i;
+  }
+}
+
+TEST(EngineBatch, ComponentFanOutOnTheEnginePoolMatchesASerialSolve) {
+  // Every request splits into three far-apart clusters of 16-20 jobs, over
+  // the Dispatch fan-out bar, so each batch entry fans its components out
+  // on the same pool that runs the batch (a nested parallel_for). Every
+  // cluster in the batch has its own size, so no component dedups or hits
+  // another's cache entry: each one is solved fresh, as in the serial
+  // reference.
+  std::vector<BatchJob> jobs;
+  for (int r = 0; r < 4; ++r) {
+    std::vector<std::pair<Time, Time>> windows;
+    for (int cluster = 0; cluster < 3; ++cluster) {
+      const Time base = static_cast<Time>(cluster) * 500;
+      const int size = 16 + 4 * cluster + r;
+      for (int j = 0; j < size; ++j) {
+        // Pinned jobs with a little slack every third job, so the DPs
+        // choose among several optimal placements.
+        const Time t = base + 2 * j;
+        windows.emplace_back(t, t + (j % 3 == 0 ? 1 : 0));
+      }
+    }
+    const Instance inst = Instance::one_interval(windows);
+    jobs.push_back({"gap_dp", {inst, Objective::kGaps, {}}});
+    SolveRequest power{inst, Objective::kPower, {}};
+    power.params.alpha = 3.0;
+    jobs.push_back({"power_dp", power});
+  }
+
+  const std::vector<SolveResult> fanned =
+      Engine({.threads = 2}).solve_batch(jobs);
+  Engine serial({.threads = 1, .cache = false});
+  ASSERT_EQ(fanned.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const SolveResult expect = serial.solve(jobs[i].solver, jobs[i].request);
+    const SolveResult& got = fanned[i];
+    ASSERT_TRUE(got.ok) << i << ": " << got.error;
+    ASSERT_TRUE(expect.ok) << i << ": " << expect.error;
+    EXPECT_EQ(got.stats.components, 3u) << i;
+    EXPECT_EQ(got.stats.component_cache_hits, 0u) << i;
+    EXPECT_EQ(got.stats.components_deduped, 0u) << i;
+    EXPECT_EQ(got.cost, expect.cost) << i;
+    EXPECT_EQ(got.transitions, expect.transitions) << i;
+    EXPECT_EQ(got.schedule, expect.schedule) << i;
+    EXPECT_EQ(got.stats.states, expect.stats.states) << i;
   }
 }
 

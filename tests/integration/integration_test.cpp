@@ -43,7 +43,7 @@ TEST_P(SolverMatrix, AllSolversConsistent) {
   const bool feasible = is_feasible(inst);
   engine::SolveRequest gaps{inst, engine::Objective::kGaps, {}};
   const std::vector<engine::BatchJob> batch = {
-      {"brute_force", gaps}, {"gap_dp", gaps},     {"baptiste", gaps},
+      {"brute_force", gaps}, {"gap_dp", gaps},     {"bcd_poly_gap", gaps},
       {"span_search", gaps}, {"fhkn_greedy", gaps}, {"online_edf", gaps},
   };
   const std::vector<engine::SolveResult> results =
@@ -64,7 +64,7 @@ TEST_P(SolverMatrix, AllSolversConsistent) {
     EXPECT_EQ(results[i].schedule.validate(inst), "") << batch[i].solver;
   }
   EXPECT_EQ(results[1].transitions, bf.transitions);  // gap_dp
-  EXPECT_EQ(results[2].transitions, bf.transitions);  // baptiste
+  EXPECT_EQ(results[2].transitions, bf.transitions);  // bcd_poly_gap
   EXPECT_EQ(results[3].transitions, bf.transitions);  // span_search
 
   // Approximations sandwiched between OPT and their guarantees.

@@ -152,6 +152,53 @@ TEST(ServeServer, MixedBurstMatchesTheLocalEngineAndReordersById) {
   server.drain();
 }
 
+TEST(ServeServer, AClosedConnectionsSolveWarmsTheNextConnection) {
+  // Every connection is served by the server's one Engine: connection A
+  // solves and goes away, and connection B's time-shifted copy of the same
+  // request is served from the entry A left in the shared cache.
+  Server server(loopback(2));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const engine::SolveRequest request =
+      scenario_request("sparse_spread", 7, engine::Objective::kGaps);
+
+  engine::SolveResult cold;
+  {
+    auto a = ClientChannel::dial("127.0.0.1", server.port(), &error);
+    ASSERT_TRUE(a.has_value()) << error;
+    Collected got;
+    ASSERT_NO_FATAL_FAILURE(
+        exchange(*a, {request_frame(1, "gap_dp", request)}, 1, &got));
+    ASSERT_TRUE(got.transport_error.empty()) << got.transport_error;
+    ASSERT_EQ(got.results.count(1), 1u);
+    cold = got.results[1];
+    a->close();
+  }
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_FALSE(cold.stats.cache_hit);
+
+  engine::SolveRequest shifted = request;
+  for (Job& job : shifted.instance.jobs) {
+    job.allowed = job.allowed.shifted(1000);
+  }
+  auto b = ClientChannel::dial("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(b.has_value()) << error;
+  Collected got;
+  ASSERT_NO_FATAL_FAILURE(
+      exchange(*b, {request_frame(2, "gap_dp", shifted)}, 1, &got));
+  ASSERT_TRUE(got.transport_error.empty()) << got.transport_error;
+  ASSERT_EQ(got.results.count(2), 1u);
+  const engine::SolveResult& warm = got.results[2];
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_TRUE(warm.stats.cache_hit);
+  EXPECT_EQ(warm.cost, cold.cost);
+  // The hit is re-audited against B's own (shifted) instance.
+  EXPECT_TRUE(warm.audited);
+  EXPECT_TRUE(warm.audit_error.empty()) << warm.audit_error;
+  EXPECT_GE(server.stats().cache.hits, 1u);
+  server.drain();
+}
+
 TEST(ServeServer, LoadgenBurstOverSharedCacheHasNoDropsOrRefutations) {
   Server server(loopback(4));
   std::string error;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "gapsched/parallel/thread_pool.hpp"
 #include "gapsched/util/prng.hpp"
@@ -82,13 +84,13 @@ TEST(Table, CsvOutput) {
 }
 
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
+  // More helpers than work, and the other way round: every index runs once.
+  for (const std::size_t n : {1u, 3u, 100u}) {
+    ThreadPool pool(4);
+    std::atomic<int> count{0};
+    parallel_for(pool, n, [&count](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), static_cast<int>(n));
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPool, ParallelForCoversIndices) {
@@ -99,9 +101,31 @@ TEST(ThreadPool, ParallelForCoversIndices) {
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPool) {
+  // Joining an empty batch on a pool that never ran anything returns at
+  // once: there is nothing to wait for.
   ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
+  parallel_for(pool, 0, [](std::size_t) { ADD_FAILURE(); });
   SUCCEED();
+}
+
+TEST(ThreadPool, NestedParallelForOnTheSamePoolCoversEveryIndex) {
+  // A body that fans out again on its own pool: the inner call joins only
+  // its own indices, which its caller can run alone, so this finishes even
+  // when every helper is busy in an outer index (a whole-pool wait would
+  // hang here).
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " thread(s)");
+    ThreadPool pool(threads);
+    constexpr std::size_t kOuter = 6;
+    constexpr std::size_t kInner = 5;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    parallel_for(pool, kOuter, [&](std::size_t i) {
+      parallel_for(pool, kInner, [&](std::size_t j) {
+        hits[i * kInner + j].fetch_add(1);
+      });
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 }  // namespace
