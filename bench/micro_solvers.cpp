@@ -11,6 +11,11 @@
 // against the baseline; any refutation makes the binary exit non-zero so
 // the CI micro-bench lane fails loudly instead of archiving corrupt
 // numbers.
+//
+// The bcd section times the polynomial [BCD07] kernel (frontier combine,
+// prune and memo) on fixed poly_scale draws past the window DPs' reach,
+// with its states/entries work counters and an oracle audit of every
+// answer.
 
 #include <chrono>
 #include <cmath>
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/bcd/bcd.hpp"
 #include "gapsched/core/candidate_times.hpp"
 #include "gapsched/dp/dp_stats.hpp"
 #include "gapsched/dp/gap_dp.hpp"
@@ -31,6 +37,7 @@
 #include "gapsched/matching/feasibility.hpp"
 #include "gapsched/oracle/oracle.hpp"
 #include "gapsched/powermin/powermin_approx.hpp"
+#include "gapsched/scenarios/scenarios.hpp"
 #include "json_report.hpp"
 
 namespace {
@@ -211,6 +218,70 @@ bench::Json run_dp_scenario(const DpScenario& sc) {
   return row;
 }
 
+struct BcdScenario {
+  std::string scenario;  // scenarios::make_scenario name, drawn at seed 7
+  bool power = false;
+  double alpha = 2.5;
+};
+
+bench::Json run_bcd_scenario(const BcdScenario& sc) {
+  const std::string name =
+      std::string(sc.power ? "bcd_poly_power" : "bcd_poly_gap") + "/" +
+      sc.scenario;
+  bench::Json row = bench::Json::object();
+  row.set("name", name);
+  const auto inst = scenarios::make_scenario(sc.scenario, 7);
+  if (!inst.has_value()) {
+    refute(name + ": unknown scenario");
+    return row;
+  }
+  row.set("n", inst->n());
+  if (sc.power) row.set("alpha", sc.alpha);
+
+  std::size_t states = 0, entries = 0;
+  double cost = 0.0;
+  Schedule schedule;
+  std::string error;
+  bool feasible = false;
+  const auto take = [&](const auto& r) {
+    states = r.states;
+    entries = r.entries;
+    schedule = r.schedule;
+    error = r.error;
+    feasible = r.feasible;
+  };
+  if (sc.power) {
+    const BcdPowerResult r = solve_bcd_power(*inst, sc.alpha);
+    take(r);
+    cost = r.power;
+  } else {
+    const BcdGapResult r = solve_bcd_gap(*inst);
+    take(r);
+    cost = static_cast<double>(r.transitions);
+  }
+  if (!error.empty()) refute(name + ": solve rejected: " + error);
+  if (!feasible) refute(name + ": poly_scale draw reported infeasible");
+  const oracle::ScheduleAudit audit = oracle::audit_schedule(*inst, schedule);
+  if (!audit.valid || !audit.complete) {
+    refute(name + ": oracle rejected schedule: " + audit.violation_summary());
+  } else if (sc.power ? std::abs(oracle::min_power(audit, sc.alpha) - cost) >
+                            1e-6 * (1.0 + std::abs(cost))
+                      : static_cast<double>(audit.transitions) != cost) {
+    refute(name + ": claimed cost != oracle rederivation");
+  }
+
+  const double ns =
+      sc.power ? time_ns([&] { solve_bcd_power(*inst, sc.alpha); })
+               : time_ns([&] { solve_bcd_gap(*inst); });
+  row.set("ns_op", ns);
+  row.set("states", states);
+  row.set("entries", entries);
+  row.set("cost", cost);
+  std::printf("%-28s %12.0f ns  states %zu  entries %zu\n", name.c_str(), ns,
+              states, entries);
+  return row;
+}
+
 bench::Json solver_row(const std::string& name, double ns) {
   bench::Json row = bench::Json::object();
   row.set("name", name);
@@ -248,6 +319,18 @@ int main(int argc, char** argv) {
   bench::Json dp_rows = bench::Json::array();
   for (const DpScenario& sc : scenarios) dp_rows.push(run_dp_scenario(sc));
 
+  // The polynomial bcd kernel on poly_scale draws the window DPs cannot
+  // solve (n in the thousands, shared release classes).
+  const std::vector<BcdScenario> bcd_scenarios = {
+      {"poly_scale:1200", false},
+      {"poly_scale:2000", false},
+      {"poly_scale:1200", true},
+  };
+  bench::Json bcd_rows = bench::Json::array();
+  for (const BcdScenario& sc : bcd_scenarios) {
+    bcd_rows.push(run_bcd_scenario(sc));
+  }
+
   // Per-solver single-config timings (continuity with the older harness).
   bench::Json solver_rows = bench::Json::array();
   {
@@ -276,6 +359,7 @@ int main(int argc, char** argv) {
   root.set("schema", "gapsched-bench-micro/v1");
   root.set("target_ms_per_sample", g_target_ms);
   root.set("dp", std::move(dp_rows));
+  root.set("bcd", std::move(bcd_rows));
   root.set("solvers", std::move(solver_rows));
   root.set("refutations", g_refutations);
   bench::emit_json("micro", root);

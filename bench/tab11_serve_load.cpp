@@ -12,10 +12,18 @@
 //
 // What the table and BENCH_tab11.json pin: per-family latency order
 // statistics (p50/p95/p99 over the sliding-window round trip), whole-burst
-// throughput, per-shard request/cache-hit tallies from the server's own
-// stats frame, and the reorder evidence — responses observed out of
-// submission order, proving the completion-order stream is real and the
-// client-side id reorder is doing work.
+// throughput, per-shard request tallies from the server's own stats frame,
+// and the reorder evidence — responses observed out of submission order,
+// proving the completion-order stream is real and the client-side id
+// reorder is doing work.
+//
+// Counters in BENCH_tab11.json are exact (equal on every run of the same
+// code) except those under "timing_dependent": the cache hit/miss totals,
+// each shard's cache_hits / component_cache_hits / cache_hit_rate, and
+// out_of_order. Components shared by requests on different shards race
+// on the one cache, and completion order depends on scheduling, so these
+// move run to run (shard-0 cache_hits read 1272/1263/1269 over three runs
+// of one build); compare them with a tolerance, never as exact counters.
 //
 // The lane is a correctness gate like T9/T10: exit is non-zero on any
 // drop (request without a response), oracle refutation, protocol error
@@ -137,15 +145,18 @@ int main(int, char**) {
                       .set("max_ms", fam.latency.max_ms));
   }
   bench::Json shards = bench::Json::array();
+  bench::Json shard_hits = bench::Json::array();
   if (report.server_stats_ok) {
     for (const io::ShardStatsWire& shard : report.server_stats.shards) {
-      shards.push(
+      shards.push(bench::Json::object()
+                      .set("shard", shard.shard)
+                      .set("requests", shard.requests)
+                      .set("refuted", shard.refuted));
+      shard_hits.push(
           bench::Json::object()
               .set("shard", shard.shard)
-              .set("requests", shard.requests)
               .set("cache_hits", shard.cache_hits)
               .set("component_cache_hits", shard.component_cache_hits)
-              .set("refuted", shard.refuted)
               .set("cache_hit_rate",
                    shard.requests > 0
                        ? static_cast<double>(shard.cache_hits) /
@@ -166,16 +177,20 @@ int main(int, char**) {
           .set("error_frames", report.error_frames)
           .set("duplicate_ids", report.duplicate_ids)
           .set("unknown_ids", report.unknown_ids)
-          .set("out_of_order", report.out_of_order)
           .set("wall_s", report.wall_s)
           .set("throughput_rps", report.throughput_rps)
-          .set("cache",
-               bench::Json::object()
-                   .set("hits", report.server_stats.cache.hits)
-                   .set("misses", report.server_stats.cache.misses)
-                   .set("entries", report.server_stats.cache.entries))
+          .set("cache", bench::Json::object().set(
+                            "entries", report.server_stats.cache.entries))
           .set("families", std::move(families))
-          .set("per_shard", std::move(shards));
+          .set("per_shard", std::move(shards))
+          .set("timing_dependent",
+               bench::Json::object()
+                   .set("out_of_order", report.out_of_order)
+                   .set("cache",
+                        bench::Json::object()
+                            .set("hits", report.server_stats.cache.hits)
+                            .set("misses", report.server_stats.cache.misses))
+                   .set("per_shard", std::move(shard_hits)));
   bench::emit_json("tab11", root);
 
   int failures = 0;

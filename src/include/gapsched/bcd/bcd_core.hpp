@@ -52,12 +52,29 @@
 // box. A cumulative state/segment budget valve turns adversarial blowups
 // into a clean error (the engine maps it to a rejected request) instead of
 // a wrong answer or an unbounded solve.
+//
+// Storage. A solve touches thousands of states, each with a handful of
+// segments, so per-state containers would make the allocator the hot path.
+// Every buffer is engine-owned and grows geometrically, so a solve does
+// O(log) allocations:
+//
+//   pool   every kept frontier, back to back; a State is {first, count}
+//          into it. Frontiers are read by index, never through a reference
+//          held across a solve() call (a child's prune may grow the pool).
+//   raw    one candidate-segment stack. A call pushes its candidates above
+//          the stack's height at entry; children push and prune above
+//          them and truncate back, so when the call prunes, [base, end) is
+//          exactly its own candidates in generation order.
+//   memo   a flat open-addressing table from the packed (k, lo, hi) word
+//          to the state id.
+//
+// The split branch's per-cut `best` lanes and the prune's scratch are
+// members reused by every call (neither spans a recursive call).
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -127,6 +144,7 @@ class BcdEngine {
       return false;
     }
     build_index();
+    memo_reset(n);
     overflow_.clear();
     const std::uint32_t root =
         solve(static_cast<std::uint32_t>(n), -1,
@@ -135,19 +153,19 @@ class BcdEngine {
       error_ = overflow_;
       return false;
     }
-    if (root == kEmptyState || states_[root].segments.empty()) {
+    if (root == kEmptyState || states_[root].count == 0) {
       feasible_ = false;  // no derivation: the instance is infeasible
       return true;
     }
-    const std::vector<Segment>& frontier = states_[root].segments;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < frontier.size(); ++i) {
+    const Segment* frontier = &pool_[states_[root].first];
+    std::uint32_t best = 0;
+    for (std::uint32_t i = 1; i < states_[root].count; ++i) {
       if (frontier[i].c < frontier[best].c) best = i;
     }
     feasible_ = true;
     best_cost_ = frontier[best].c;
     root_state_ = root;
-    root_seg_ = static_cast<std::uint32_t>(best);
+    root_seg_ = best;
     return true;
   }
 
@@ -170,13 +188,13 @@ class BcdEngine {
       Time t;  // chosen last slot within the segment's [lo, hi] run
     };
     std::vector<Pick> stack;
-    stack.push_back({root_state_, root_seg_,
-                     states_[root_state_].segments[root_seg_].lo});
+    stack.push_back(
+        {root_state_, root_seg_, segment(root_state_, root_seg_).lo});
     while (!stack.empty()) {
       const Pick p = stack.back();
       stack.pop_back();
       const State& st = states_[p.sid];
-      const Segment& s = st.segments[p.seg];
+      const Segment& s = segment(p.sid, p.seg);
       switch (s.kind) {
         case Segment::kBase:
           out.place(ord_[st.k - 1], p.t, 0);
@@ -215,11 +233,18 @@ class BcdEngine {
   };
 
   struct State {
-    std::uint32_t k = 0;   // canonical prefix length (1-based, in-band max)
-    std::int32_t lo = -1;  // (min present class) - 1
-    std::int32_t hi = 0;   // max present class
-    std::vector<Segment> segments;
+    std::uint32_t k = 0;      // canonical prefix length (1-based, in-band max)
+    std::int32_t lo = -1;     // (min present class) - 1
+    std::int32_t hi = 0;      // max present class
+    std::uint32_t first = 0;  // frontier: pool_[first, first + count)
+    std::uint32_t count = 0;
   };
+
+  /// Segment `seg` of state `sid`'s frontier. Invalidated by the next pool
+  /// growth, i.e. by any solve() call.
+  const Segment& segment(std::uint32_t sid, std::uint32_t seg) const {
+    return pool_[states_[sid].first + seg];
+  }
 
   void build_index() {
     const std::size_t n = inst_.n();
@@ -257,8 +282,54 @@ class BcdEngine {
            static_cast<std::uint64_t>(hi);
   }
 
-  /// Budget-checked push of a candidate segment (empty ranges are dropped).
-  bool push_segment(std::vector<Segment>& raw, const Segment& s) {
+  /// Empties the flat memo with room for `expected` keys at load <= 1/2.
+  void memo_reset(std::size_t expected) {
+    std::size_t slots = 64;
+    memo_shift_ = 58;
+    while (slots < 2 * expected) {
+      slots *= 2;
+      --memo_shift_;
+    }
+    memo_keys_.assign(slots, 0);
+    memo_ids_.assign(slots, 0);
+  }
+
+  /// Slot of `key` in the flat memo: the slot holding it, or the empty
+  /// slot (key 0: every packed key has k >= 1) where it would go. Linear
+  /// probing from the top bits of a Fibonacci hash of the packed word.
+  std::size_t memo_slot(std::uint64_t key) const {
+    const std::size_t mask = memo_keys_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ull) >> memo_shift_);
+    while (memo_keys_[slot] != 0 && memo_keys_[slot] != key) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  /// Stores key -> id at the empty `slot` memo_slot(key) returned, after
+  /// state `id` was added; doubles the table once it is half full (the memo
+  /// holds exactly one key per state).
+  void memo_insert(std::size_t slot, std::uint64_t key, std::uint32_t id) {
+    memo_keys_[slot] = key;
+    memo_ids_[slot] = id;
+    if (states_.size() * 2 <= memo_keys_.size()) return;
+    std::vector<std::uint64_t> keys(memo_keys_.size() * 2, 0);
+    std::vector<std::uint32_t> ids(keys.size());
+    keys.swap(memo_keys_);
+    ids.swap(memo_ids_);
+    --memo_shift_;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] == 0) continue;
+      const std::size_t to = memo_slot(keys[i]);
+      memo_keys_[to] = keys[i];
+      memo_ids_[to] = ids[i];
+    }
+  }
+
+  /// Budget-checked push of a candidate segment onto the raw stack (empty
+  /// ranges are dropped).
+  bool push_segment(const Segment& s) {
     if (s.lo > s.hi) return true;
     ++segments_generated_;
     if (segments_generated_ > opts_.max_entries) {
@@ -268,7 +339,7 @@ class BcdEngine {
                   "decomposition";
       return false;
     }
-    raw.push_back(s);
+    raw_.push_back(s);
     return true;
   }
 
@@ -288,9 +359,8 @@ class BcdEngine {
     while (minpos_[hi] > k) --hi;      // stops at pos_cls_[k] > lo
     while (minpos_[lo + 1] > k) ++lo;  // ditto
     const std::uint64_t key = pack(k, lo, hi);
-    if (const auto it = memo_.find(key); it != memo_.end()) {
-      return it->second;
-    }
+    std::size_t slot = memo_slot(key);
+    if (memo_keys_[slot] == key) return memo_ids_[slot];
     if (states_.size() >= opts_.max_states) {
       overflow_ = "bcd DP state budget exceeded (" +
                   std::to_string(opts_.max_states) +
@@ -299,13 +369,15 @@ class BcdEngine {
       return kEmptyState;
     }
     const std::uint32_t id = static_cast<std::uint32_t>(states_.size());
-    states_.push_back(State{k, lo, hi, {}});
-    memo_.emplace(key, id);
+    states_.push_back(State{k, lo, hi, 0, 0});
+    memo_insert(slot, key, id);
 
     const Time r_k = pos_r_[k];
     const Time d_k = pos_d_[k];
     const Time cap = policy_.lead_cap();
-    std::vector<Segment> raw;
+    // This call's candidates are raw_[base, end) once its children have
+    // pruned and truncated back to their own bases.
+    const std::size_t base = raw_.size();
 
     // A class is present when it holds a set job (minpos_[c] <= k). The
     // canonical band has classes lo + 1 and hi present, and only k's own
@@ -322,14 +394,14 @@ class BcdEngine {
         s.lo = s.hi = r_k + i;
         s.lead = i;
         s.kind = Segment::kBase;
-        if (!push_segment(raw, s)) return id;
+        if (!push_segment(s)) return id;
       }
       Segment sat;
       sat.lo = r_k + cap;
       sat.hi = d_k;
       sat.lead = cap;
       sat.kind = Segment::kBase;
-      if (!push_segment(raw, sat)) return id;
+      if (!push_segment(sat)) return id;
     } else {
       // Terminal branch: k appended after the whole rest of the set. Per
       // rest segment [a, b]: while t - 1 lands inside the run the seam is
@@ -340,9 +412,8 @@ class BcdEngine {
       if (!overflow_.empty()) return id;
       if (rest != kEmptyState) {
         const Time delta = rel_[states_[rest].lo + 1] - rel_[lo + 1];
-        const std::vector<Segment>& rsegs = states_[rest].segments;
-        for (std::uint32_t si = 0; si < rsegs.size(); ++si) {
-          const Segment& rs = rsegs[si];
+        for (std::uint32_t si = 0; si < states_[rest].count; ++si) {
+          const Segment& rs = segment(rest, si);
           const Time lead_out = std::min(rs.lead + delta, cap);
           Segment adj;
           adj.lo = std::max(r_k, rs.lo + 1);
@@ -352,7 +423,7 @@ class BcdEngine {
           adj.kind = Segment::kTerminalAdj;
           adj.child1_state = rest;
           adj.child1_seg = si;
-          if (!push_segment(raw, adj)) return id;
+          if (!push_segment(adj)) return id;
           for (Time g = 1; g < cap; ++g) {
             const Time t = rs.hi + 1 + g;
             if (t > d_k) break;
@@ -365,7 +436,7 @@ class BcdEngine {
             unit.child1_state = rest;
             unit.child1_seg = si;
             unit.child1_t = rs.hi;
-            if (!push_segment(raw, unit)) return id;
+            if (!push_segment(unit)) return id;
           }
           Segment sat;
           sat.lo = std::max(r_k, rs.hi + 1 + std::max<Time>(cap, 1));
@@ -376,7 +447,7 @@ class BcdEngine {
           sat.child1_state = rest;
           sat.child1_seg = si;
           sat.child1_t = rs.hi;
-          if (!push_segment(raw, sat)) return id;
+          if (!push_segment(sat)) return id;
         }
       }
 
@@ -402,39 +473,31 @@ class BcdEngine {
         if (left == kEmptyState || right == kEmptyState) continue;
         const Time m_r = rel_[next];
 
-        struct BestCut {
-          bool valid = false;
-          Cost c{};
-          std::uint32_t seg = 0;
-          Time t = 0;
-        };
-        // best[e_l * lanes + e_r]: cheapest left-cost + seam over left
+        // best_[e_l * lanes + e_r]: cheapest left-cost + seam over left
         // segments of lead e_l against a right part of lead e_r, with the
         // attaining (segment, slot) kept for reconstruction.
         const std::size_t lanes = static_cast<std::size_t>(cap) + 1;
-        std::vector<BestCut> best(lanes * lanes);
-        const std::vector<Segment>& lsegs = states_[left].segments;
-        for (std::uint32_t li = 0; li < lsegs.size(); ++li) {
-          const Segment& seg = lsegs[li];
+        best_.assign(lanes * lanes, BestCut{});
+        for (std::uint32_t li = 0; li < states_[left].count; ++li) {
+          const Segment& seg = segment(left, li);
           if (seg.lo >= m_r) continue;  // left part must finish before m_r
           const Time t_l = std::min(seg.hi, m_r - 1);
           const Time d_gap = m_r - t_l - 1;
           for (std::size_t e_r = 0; e_r < lanes; ++e_r) {
             const Cost combined =
                 seg.c + policy_.seam(d_gap + static_cast<Time>(e_r));
-            BestCut& slot =
-                best[static_cast<std::size_t>(seg.lead) * lanes + e_r];
-            if (!slot.valid || combined < slot.c) {
-              slot = {true, combined, li, t_l};
+            BestCut& entry =
+                best_[static_cast<std::size_t>(seg.lead) * lanes + e_r];
+            if (!entry.valid || combined < entry.c) {
+              entry = {true, combined, li, t_l};
             }
           }
         }
-        const std::vector<Segment>& rsegs = states_[right].segments;
-        for (std::uint32_t ri = 0; ri < rsegs.size(); ++ri) {
-          const Segment& rseg = rsegs[ri];
+        for (std::uint32_t ri = 0; ri < states_[right].count; ++ri) {
+          const Segment& rseg = segment(right, ri);
           const std::size_t e_r = static_cast<std::size_t>(rseg.lead);
           for (std::size_t e_l = 0; e_l < lanes; ++e_l) {
-            const BestCut& cut = best[e_l * lanes + e_r];
+            const BestCut& cut = best_[e_l * lanes + e_r];
             if (!cut.valid) continue;
             Segment s;
             s.lo = rseg.lo;
@@ -447,50 +510,53 @@ class BcdEngine {
             s.child1_t = cut.t;
             s.child2_state = right;
             s.child2_seg = ri;
-            if (!push_segment(raw, s)) return id;
+            if (!push_segment(s)) return id;
           }
         }
       }
     }
 
-    states_[id].segments = prune(std::move(raw));
-    entries_kept_ += states_[id].segments.size();
+    states_[id].first = static_cast<std::uint32_t>(pool_.size());
+    prune(base);
+    raw_.resize(base);
+    states_[id].count =
+        static_cast<std::uint32_t>(pool_.size() - states_[id].first);
+    entries_kept_ += states_[id].count;
     return id;
   }
 
-  /// Pareto prune: sweep the elementary t-intervals induced by segment
-  /// boundaries; within each, keep the (lead asc, c strictly desc) skyline;
-  /// re-coalesce adjacent intervals that kept the same derivation.
-  std::vector<Segment> prune(std::vector<Segment> raw) const {
-    if (raw.empty()) return raw;
-    std::vector<Time> bounds;
-    bounds.reserve(2 * raw.size());
-    for (const Segment& s : raw) {
-      bounds.push_back(s.lo);
-      bounds.push_back(s.hi + 1);
+  /// Pareto prune of the candidates raw_[base, end), appended to the pool:
+  /// sweep the elementary t-intervals induced by segment boundaries; within
+  /// each, keep the (lead asc, c strictly desc) skyline; re-coalesce
+  /// adjacent intervals that kept the same derivation.
+  void prune(std::size_t base) {
+    const Segment* raw = raw_.data() + base;
+    const std::uint32_t n_raw = static_cast<std::uint32_t>(raw_.size() - base);
+    if (n_raw == 0) return;
+    bounds_.clear();
+    for (std::uint32_t i = 0; i < n_raw; ++i) {
+      bounds_.push_back(raw[i].lo);
+      bounds_.push_back(raw[i].hi + 1);
     }
-    std::sort(bounds.begin(), bounds.end());
-    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    std::sort(bounds_.begin(), bounds_.end());
+    bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
 
-    std::vector<Segment> kept;
-    std::vector<std::size_t> prev_runs, cur_runs;  // kept indices per interval
-    // (lead, (c, raw index)) triples active on the elementary interval.
-    std::vector<std::pair<Time, std::pair<Cost, std::uint32_t>>> active;
-    for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
-      const Time t0 = bounds[b];
-      const Time t1 = bounds[b + 1] - 1;
-      active.clear();
-      for (std::uint32_t i = 0; i < raw.size(); ++i) {
+    prev_runs_.clear();
+    for (std::size_t b = 0; b + 1 < bounds_.size(); ++b) {
+      const Time t0 = bounds_[b];
+      const Time t1 = bounds_[b + 1] - 1;
+      active_.clear();
+      for (std::uint32_t i = 0; i < n_raw; ++i) {
         if (raw[i].lo <= t0 && raw[i].hi >= t1) {
-          active.push_back({raw[i].lead, {raw[i].c, i}});
+          active_.push_back({raw[i].lead, {raw[i].c, i}});
         }
       }
-      cur_runs.clear();
-      if (!active.empty()) {
-        std::sort(active.begin(), active.end());
+      cur_runs_.clear();
+      if (!active_.empty()) {
+        std::sort(active_.begin(), active_.end());
         bool first = true;
         Cost best{};
-        for (const auto& [lead, payload] : active) {
+        for (const auto& [lead, payload] : active_) {
           const auto& [c, idx] = payload;
           if (!first && !(c < best)) continue;  // same-lead dup or dominated
           first = false;
@@ -499,10 +565,10 @@ class BcdEngine {
           // a new segment when the same derivation continues across the
           // boundary (same_derivation ignores the [lo, hi] coordinates).
           bool extended = false;
-          for (const std::size_t p : prev_runs) {
-            if (kept[p].hi == t0 - 1 && same_derivation(raw[idx], kept[p])) {
-              kept[p].hi = t1;
-              cur_runs.push_back(p);
+          for (const std::size_t p : prev_runs_) {
+            if (pool_[p].hi == t0 - 1 && same_derivation(raw[idx], pool_[p])) {
+              pool_[p].hi = t1;
+              cur_runs_.push_back(p);
               extended = true;
               break;
             }
@@ -511,13 +577,12 @@ class BcdEngine {
           Segment out = raw[idx];
           out.lo = t0;
           out.hi = t1;
-          cur_runs.push_back(kept.size());
-          kept.push_back(out);
+          cur_runs_.push_back(pool_.size());
+          pool_.push_back(out);
         }
       }
-      std::swap(prev_runs, cur_runs);
+      std::swap(prev_runs_, cur_runs_);
     }
-    return kept;
   }
 
   static bool same_derivation(const Segment& a, const Segment& b) {
@@ -537,8 +602,25 @@ class BcdEngine {
   std::vector<std::int32_t> pos_cls_;  // release class by position
   std::vector<std::uint32_t> minpos_;  // least position per class (n+1: none)
 
+  struct BestCut {
+    bool valid = false;
+    Cost c{};
+    std::uint32_t seg = 0;
+    Time t = 0;
+  };
+
   std::vector<State> states_;
-  std::unordered_map<std::uint64_t, std::uint32_t> memo_;
+  std::vector<Segment> pool_;  // every kept frontier, State::first/count
+  std::vector<Segment> raw_;   // candidate stack; see solve()
+  std::vector<std::uint64_t> memo_keys_;  // packed (k, lo, hi); 0 = empty
+  std::vector<std::uint32_t> memo_ids_;   // state id per memo_keys_ slot
+  unsigned memo_shift_ = 58;  // 64 - log2(memo_keys_.size())
+  // Reused scratch: the split branch's per-cut lanes and the prune sweep.
+  std::vector<BestCut> best_;
+  std::vector<Time> bounds_;
+  std::vector<std::size_t> prev_runs_, cur_runs_;  // pool indices per interval
+  // (lead, (c, raw index)) triples active on the elementary interval.
+  std::vector<std::pair<Time, std::pair<Cost, std::uint32_t>>> active_;
   std::size_t segments_generated_ = 0;
   std::size_t entries_kept_ = 0;
   std::string overflow_;

@@ -151,8 +151,16 @@ class Engine {
   std::vector<SolveResult> solve_stream(const std::vector<BatchJob>& jobs,
                                         const StreamCallback& on_result);
 
+  /// The environment solve() threads through a solver: this engine's
+  /// cache and component fan-out pool. A front end that keeps its own
+  /// roll-up (serve's per-shard tallies) solves with
+  /// `solver.solve(request, hooks())`, sharing the cache and pool without
+  /// folding the result into pipeline_stats() as well.
+  const SolveHooks& hooks() const { return hooks_; }
+
   /// Per-stage pipeline roll-up (runs/skips/summed wall time, indexed by
-  /// PipelineStage) across every request this engine served.
+  /// PipelineStage) across every request solve()/solve_batch()/
+  /// solve_stream() answered.
   pipeline::PipelineStats pipeline_stats() const;
   void reset_pipeline_stats();
 

@@ -14,7 +14,9 @@
 //
 // One Engine — its registry, its content-addressed SolveCache (plus the
 // optional disk store), and its pool for component fan-out — serves every
-// connection; shard tasks call Engine::solve. Requests travel the shard
+// connection; shard tasks solve through it (Solver::solve with
+// Engine::hooks()) and fold each result once, into their own shard's tally,
+// which is what the stats frame reports. Requests travel the shard
 // whose index is the canonical-key hash of their content, so identical
 // (post-canonicalization) instances execute serially on one worker and
 // dedup in the shared cache instead of racing.

@@ -225,7 +225,7 @@ void Server::dispatch_request(const std::shared_ptr<Connection>& conn,
   conn->task_started();
   const std::int64_t id = head.id;
   const bool accepted = shard_pool_->submit(
-      shard, [this, conn, shard, id, deadline,
+      shard, [this, conn, shard, id, deadline, solver,
               solver_name = std::move(solver_name),
               request = std::move(*request)]() mutable {
         engine::SolveResult result;
@@ -235,6 +235,9 @@ void Server::dispatch_request(const std::shared_ptr<Connection>& conn,
           result = engine::SolveResult::rejected(
               "deadline exceeded before solve (queue wait)");
           result.timed_out = true;
+        } else if (solver == nullptr) {
+          result = engine::SolveResult::rejected("unknown solver '" +
+                                                 solver_name + "'");
         } else {
           if (deadline.has_value()) {
             const double remaining_s =
@@ -248,7 +251,11 @@ void Server::dispatch_request(const std::shared_ptr<Connection>& conn,
               request.params.time_limit_s = remaining_s;
             }
           }
-          result = engine_->solve(solver_name, request);
+          // Through the engine's cache and pool, but folded only into
+          // this shard's tally below: the stats frame is built from the
+          // shard tallies, so the engine's own pipeline_stats() roll-up
+          // would be a second, unread fold under a lock every shard shares.
+          result = solver->solve(request, engine_->hooks());
         }
         {
           ShardState& state = *shard_states_[shard];

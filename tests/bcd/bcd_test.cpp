@@ -1,19 +1,23 @@
 // Unit suite for the Baptiste-Chrobak-Durr polynomial solver family
 // (src/bcd): handcrafted optima for both objectives, randomized parity
-// against the subset-DP ground truth at brute-forceable sizes, the alias
-// contract with solve_baptiste, the shape-guard and budget-valve error
-// paths, large-n smoke solves (n = 2000) with closed-form optima — the
-// sizes the exponential families cannot touch, kept fast enough for tier1
-// precisely because the DP is polynomial — and pinned work counters on
-// fixed poly_scale draws, where brute-force parity cannot reach.
+// against the subset-DP ground truth at brute-forceable sizes, the
+// forwarding contract of the free function solve_baptiste, the shape-guard
+// and budget-valve error paths, large-n smoke solves (n = 2000) with
+// closed-form optima — the sizes the exponential families cannot touch,
+// kept fast enough for tier1 precisely because the DP is polynomial — and
+// pinned work counters and schedule digests on fixed poly_scale draws,
+// where brute-force parity cannot reach.
 
 #include "gapsched/bcd/bcd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "gapsched/baptiste/baptiste.hpp"
+#include "gapsched/core/hash.hpp"
 #include "gapsched/exact/brute_force.hpp"
 #include "gapsched/exact/power_brute_force.hpp"
 #include "gapsched/gen/generators.hpp"
@@ -148,6 +152,40 @@ TEST(Bcd, EntryBudgetValveRejectsInsteadOfAnswering) {
   EXPECT_FALSE(r.feasible);
 }
 
+TEST(Bcd, EntryBudgetTripAtEveryPointLeavesNoAnswer) {
+  // Every budget below the solve's total segment count trips somewhere in
+  // the recursion: inside a base case, a terminal branch, or a split
+  // branch whose parent already pushed its terminal candidates. Each trip
+  // must surface as an error with no answer, and the first budget that
+  // suffices must reproduce the unbudgeted answer exactly.
+  const auto inst = scenarios::make_scenario("poly_scale:40", 7);
+  ASSERT_TRUE(inst.has_value());
+  const BcdGapResult full = solve_bcd_gap(*inst);
+  ASSERT_TRUE(full.error.empty()) << full.error;
+  ASSERT_TRUE(full.feasible);
+  bcd::BcdOptions opts;
+  std::size_t trips = 0;
+  for (opts.max_entries = 1; opts.max_entries < 100'000; ++opts.max_entries) {
+    const BcdGapResult r = solve_bcd_gap(*inst, opts);
+    if (r.error.empty()) {
+      EXPECT_TRUE(r.feasible);
+      EXPECT_EQ(r.transitions, full.transitions);
+      EXPECT_EQ(r.states, full.states);
+      EXPECT_EQ(r.entries, full.entries);
+      EXPECT_EQ(r.schedule, full.schedule);
+      break;
+    }
+    ++trips;
+    EXPECT_FALSE(r.feasible) << "budget " << opts.max_entries;
+    EXPECT_EQ(r.schedule.scheduled_count(), 0u)
+        << "budget " << opts.max_entries;
+  }
+  // The sweep ended on a success, past more trip points than the frontier
+  // has kept segments (pruning drops candidates, so the budget is larger).
+  EXPECT_LT(opts.max_entries, 100'000u);
+  EXPECT_GE(trips, full.entries);
+}
+
 // ------------------------------------------------- brute-force agreement --
 
 class BcdVsBruteForce : public ::testing::TestWithParam<int> {};
@@ -198,9 +236,9 @@ TEST_P(BcdVsBruteForce, PowerAgrees) {
 
 INSTANTIATE_TEST_SUITE_P(Random, BcdVsBruteForce, ::testing::Range(0, 40));
 
-// ---------------------------------------------------------- alias parity --
+// ------------------------------------------------ solve_baptiste parity --
 
-TEST(Bcd, BaptisteAliasForwardsToBcd) {
+TEST(Bcd, SolveBaptisteForwardsToBcd) {
   for (int i = 0; i < 10; ++i) {
     const std::uint64_t seed =
         testing::seed_for(static_cast<std::uint64_t>(i) * 41 + 3);
@@ -281,6 +319,47 @@ TEST(Bcd, PolyScaleGapWorkCountersArePinned) {
     EXPECT_EQ(r.states, pin.states);
     EXPECT_EQ(r.entries, pin.entries);
     EXPECT_EQ(r.schedule.validate(*inst), "");
+  }
+}
+
+// FNV-1a over every job's slot, in job order: the extracted schedule
+// itself, beyond its cost and the work counters above.
+std::uint64_t schedule_digest(const Schedule& schedule) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (std::size_t j = 0; j < schedule.size(); ++j) {
+    const auto& slot = schedule.at(j);
+    h = fnv1a64_word(slot.has_value() ? static_cast<std::uint64_t>(slot->time)
+                                      : ~std::uint64_t{0},
+                     h);
+  }
+  return h;
+}
+
+TEST(Bcd, PolyScaleSchedulesArePinned) {
+  // Which optimal schedule the DP extracts follows from its tie-breaks
+  // (raw candidate order, the prune's (lead, c, index) sort, the split
+  // scan order); a storage change that keeps the cost but reorders them
+  // moves these digests.
+  struct PinnedSchedule {
+    const char* scenario;
+    bool power;
+    std::uint64_t digest;
+  };
+  const PinnedSchedule pins[] = {
+      {"poly_scale:1200", false, 0x3a5f3069273eb06full},
+      {"poly_scale:2000", false, 0x780900814f375d6ull},
+      {"poly_scale:1200", true, 0x98b1febca69dfa5aull},
+  };
+  for (const PinnedSchedule& pin : pins) {
+    SCOPED_TRACE(std::string(pin.scenario) + (pin.power ? " power" : " gap"));
+    const auto inst = scenarios::make_scenario(pin.scenario, 7);
+    ASSERT_TRUE(inst.has_value());
+    const Schedule schedule = pin.power
+                                  ? solve_bcd_power(*inst, kAlpha).schedule
+                                  : solve_bcd_gap(*inst).schedule;
+    ASSERT_TRUE(schedule.complete());
+    EXPECT_EQ(schedule_digest(schedule), pin.digest)
+        << std::hex << "0x" << schedule_digest(schedule);
   }
 }
 

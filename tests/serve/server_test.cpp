@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,6 +245,78 @@ TEST(ServeServer, LoadgenBurstOverSharedCacheHasNoDropsOrRefutations) {
   EXPECT_GT(shard_cache_hits, 0u);
   EXPECT_GT(report.server_stats.cache.hits, 0u);
   EXPECT_EQ(report.server_stats.pipeline.requests, shard_requests);
+  server.drain();
+}
+
+TEST(ServeServer, StatsFrameCountsEachResultOnceInItsShard) {
+  // Every answered request (solved, cache hit, or an unknown-solver
+  // rejection) is folded exactly once, into the tally of the shard that
+  // ran it: each shard's stage rows account for each of its requests once,
+  // and the frame's aggregate is exactly the per-shard sum.
+  Server server(loopback(2));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  auto channel = ClientChannel::dial("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(channel.has_value()) << error;
+
+  std::vector<std::string> frames;
+  for (std::int64_t i = 0; i < 6; ++i) {
+    // Seeds repeat: the second half are whole-solve cache hits.
+    frames.push_back(request_frame(
+        i, "gap_dp",
+        scenario_request("sparse_spread",
+                         40 + static_cast<std::uint64_t>(i % 3),
+                         engine::Objective::kGaps)));
+  }
+  frames.push_back(request_frame(
+      6, "no_such_solver",
+      scenario_request("sparse_spread", 40, engine::Objective::kGaps)));
+  Collected got;
+  ASSERT_NO_FATAL_FAILURE(exchange(*channel, frames, frames.size(), &got));
+  ASSERT_TRUE(got.transport_error.empty()) << got.transport_error;
+  ASSERT_EQ(got.results.size(), frames.size());
+  EXPECT_FALSE(got.results[6].ok);
+  EXPECT_EQ(got.results[6].error, "unknown solver 'no_such_solver'");
+
+  ASSERT_TRUE(channel->send(stats_request_frame(), &error)) << error;
+  std::optional<std::string> line;
+  for (;;) {
+    line = channel->next_frame(&error);
+    ASSERT_TRUE(line.has_value()) << error;
+    const auto head = io::frame_head_from_json(*line, &error);
+    ASSERT_TRUE(head.has_value()) << error;
+    if (head->frame == "stats") break;
+  }
+  const auto stats = io::server_stats_from_json(*line, &error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  // The frame is exactly the stats document the server's codec writes.
+  EXPECT_EQ(stats_frame(*stats), *line);
+
+  std::uint64_t requests = 0;
+  std::uint64_t hits = 0;
+  engine::pipeline::PipelineStats summed;
+  for (const io::ShardStatsWire& shard : stats->shards) {
+    EXPECT_EQ(shard.pipeline.requests, shard.requests);
+    for (const engine::pipeline::StageTally& t : shard.pipeline.stages) {
+      EXPECT_EQ(t.runs + t.skips, shard.requests);
+    }
+    requests += shard.requests;
+    hits += shard.cache_hits;
+    summed.requests += shard.pipeline.requests;
+    for (std::size_t s = 0; s < engine::kPipelineStageCount; ++s) {
+      summed.stages[s].runs += shard.pipeline.stages[s].runs;
+      summed.stages[s].skips += shard.pipeline.stages[s].skips;
+    }
+  }
+  EXPECT_EQ(requests, frames.size());
+  // The three repeats route to their original's shard and run after it;
+  // draws of the family may also coincide canonically, so this is a floor.
+  EXPECT_GE(hits, 3u);
+  EXPECT_EQ(stats->pipeline.requests, summed.requests);
+  for (std::size_t s = 0; s < engine::kPipelineStageCount; ++s) {
+    EXPECT_EQ(stats->pipeline.stages[s].runs, summed.stages[s].runs) << s;
+    EXPECT_EQ(stats->pipeline.stages[s].skips, summed.stages[s].skips) << s;
+  }
   server.drain();
 }
 
